@@ -22,6 +22,7 @@ from .numerics import (
     std_normal_cdf,
 )
 from .model import (
+    CHANNELS,
     Linear,
     Logistic,
     MeasurementVector,

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import Linear, Logistic, Model, OneBit, link_slope, model_tag
+from .model import Model, link_slope, noise_param, output_scale
 from .numerics import binary_entropy
 
 __all__ = [
@@ -58,6 +58,11 @@ class NoiselessRegimeError(ValueError):
 def _check_nk(n: int, k: int) -> None:
     if not (isinstance(n, int) and isinstance(k, int) and 1 <= k < n):
         raise ValueError(f"need integers 1 <= k < n, got k={k!r}, n={n!r}")
+
+
+def _check_half(n: int, k: int) -> None:
+    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n // 2):
+        raise ValueError(f"need integers 1 <= k <= n/2, got k={k!r}, n={n!r}")
 
 
 def _check_delta(delta: float) -> None:
@@ -127,13 +132,7 @@ def topk_sample_bound_closed(n: int, k: int, model: Model, c: float = 1.0) -> fl
     _check_nk(n, k)
     if c <= 0.0:
         raise ValueError(f"c must be positive, got {c!r}")
-    if isinstance(model, (Linear, OneBit)):
-        scale = k + model.sigma2
-    elif isinstance(model, Logistic):
-        scale = k + (0.0 if math.isinf(model.beta) else 1.0 / model.beta ** 2)
-    else:
-        raise TypeError(f"not a measurement model: {model!r}")
-    return c * scale * (math.log2(k) + math.log2(n - k))
+    return c * output_scale(model, k) * (math.log2(k) + math.log2(n - k))
 
 
 def glm_fano_lower(n: int, k: int, mutual_info_cap: float, delta: float = 0.0) -> float:
@@ -196,8 +195,7 @@ def shell_entropy(l, k: int, n: int):
     indices, i.e. sit at Hamming distance 2l.  Real-valued l in (0, k]
     is accepted; the scan-based bounds use integer l.
     """
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n // 2):
-        raise ValueError(f"need integers 1 <= k <= n/2, got k={k!r}, n={n!r}")
+    _check_half(n, k)
     arr = np.asarray(l, dtype=np.float64)
     if np.any((arr <= 0.0) | (arr > k)) or np.any(arr > n - k):
         raise ValueError(f"l must lie in (0, k] with l <= n-k, got {l!r}")
@@ -234,8 +232,7 @@ def mle_sample_bound(n: int, k: int, sigma2: float) -> ScanBound:
     maximum sits, so the empirical argmax is reported alongside the value.
     Requires k <= n/2.
     """
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n // 2):
-        raise ValueError(f"need integers 1 <= k <= n/2, got k={k!r}, n={n!r}")
+    _check_half(n, k)
     if sigma2 <= 0.0:
         raise NoiselessRegimeError(
             "bound undefined at sigma2=0: one exact measurement recovers the signal"
@@ -256,8 +253,7 @@ def linear_shell_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> Sca
 
     Clamped at 0 (and flagged vacuous) if the maximum is negative.
     """
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n // 2):
-        raise ValueError(f"need integers 1 <= k <= n/2, got k={k!r}, n={n!r}")
+    _check_half(n, k)
     _check_delta(delta)
     if sigma2 <= 0.0:
         raise NoiselessRegimeError(
@@ -341,8 +337,7 @@ class BoundQuery:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and isinstance(self.k, int) and 1 <= self.k <= self.n // 2):
-            raise ValueError(f"need integers 1 <= k <= n/2, got k={self.k!r}, n={self.n!r}")
+        _check_half(self.n, self.k)
         _check_delta(self.delta)
         if self.c <= 0.0:
             raise ValueError(f"c must be positive, got {self.c!r}")
@@ -374,35 +369,19 @@ class BoundReport:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        def scan(b):
-            if b is None:
-                return None
-            return {"value": b.value, "argmax_l": b.argmax_l, "vacuous": b.vacuous}
-
         q = self.query
-        return {
-            "query": {
-                "n": q.n,
-                "k": q.k,
-                "model": model_tag(q.model),
-                "sigma2": q.model.sigma2 if isinstance(q.model, (Linear, OneBit)) else None,
-                "beta": q.model.beta if isinstance(q.model, Logistic) else None,
-                "delta": q.delta,
-                "mutual_info_cap": q.mutual_info_cap,
-                "c": q.c,
-            },
-            "m_star": self.m_star,
-            "m_alg": self.m_alg,
-            "alg_upper": self.alg_upper,
-            "alg_upper_closed_form": self.alg_upper_closed_form,
-            "glm_lower": self.glm_lower,
-            "onebit_lower": self.onebit_lower,
-            "logistic_lower": self.logistic_lower,
-            "spl_fano_lower": self.spl_fano_lower,
-            "mle_upper": scan(self.mle_upper),
-            "spl_conditional_lower": scan(self.spl_conditional_lower),
-            "notes": list(self.notes),
+        query = {
+            "n": q.n,
+            "k": q.k,
+            "model": q.model.tag,
+            "sigma2": None,
+            "beta": None,
+            q.model.noise_name: noise_param(q.model),
+            "delta": q.delta,
+            "mutual_info_cap": q.mutual_info_cap,
+            "c": q.c,
         }
+        return {**asdict(self), "query": query, "notes": list(self.notes)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -426,7 +405,7 @@ def bound_report(query: BoundQuery) -> BoundReport:
     onebit_lower = logistic_lower = spl_fano = None
     mle_upper = spl_cond = None
 
-    if isinstance(model, Linear):
+    if model.tag == "linear":
         m_alg = conjectured_alg_threshold(n, k, model.sigma2)
         if model.sigma2 > 0.0:
             m_star = all_or_nothing_threshold(n, k, model.sigma2)
@@ -440,11 +419,11 @@ def bound_report(query: BoundQuery) -> BoundReport:
                 "sigma2=0: noisy-channel thresholds undefined; one exact measurement "
                 "recovers the signal (single-measurement decoder)"
             )
-    elif isinstance(model, OneBit):
+    elif model.tag == "onebit":
         onebit_lower = onebit_fano_lower(n, k, model.sigma2, delta)
         if onebit_lower == 0.0 and delta > 0.0:
             notes.append("onebit_lower vacuous: error-probability correction exhausts the entropy budget")
-    elif isinstance(model, Logistic):
+    else:
         logistic_lower = logistic_fano_lower(n, k, model.beta, delta)
         if logistic_lower == 0.0 and delta > 0.0:
             notes.append("logistic_lower vacuous: error-probability correction exhausts the entropy budget")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .bounds import BoundQuery, bound_report, curve_to_csv, mle_bound_curve
@@ -25,7 +25,7 @@ from .harness import (
     moment_check_onebit,
     sweep,
 )
-from .model import Linear, Logistic, Model, OneBit, model_tag
+from .model import CHANNELS, Model, noise_param
 from .svgplot import line_chart
 
 __all__ = ["main", "build_parser"]
@@ -45,27 +45,21 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _beta(text: str) -> float:
-    # accepts "inf" for the noiseless logistic limit
-    return float(text)
-
-
-def _add_model_args(sub: argparse.ArgumentParser, models=("linear", "onebit", "logistic")) -> None:
-    sub.add_argument("--model", required=True, choices=models)
+def _add_model_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--model", required=True, choices=[c.tag for c in CHANNELS])
     sub.add_argument("--sigma2", type=float, default=None, help="noise variance (linear/onebit)")
-    sub.add_argument("--beta", type=_beta, default=None, help="logistic noise level; 'inf' allowed")
+    sub.add_argument("--beta", type=float, default=None, help="logistic noise level; 'inf' allowed")
 
 
 def _model_from_args(args) -> Model:
-    if args.model == "logistic":
-        if args.sigma2 is not None:
-            raise ValueError("--sigma2 does not apply to the logistic model; use --beta")
-        beta = 1.0 if args.beta is None else args.beta
-        return Logistic(beta)
-    if args.beta is not None:
-        raise ValueError(f"--beta does not apply to the {args.model} model; use --sigma2")
-    sigma2 = 1.0 if args.sigma2 is None else args.sigma2
-    return Linear(sigma2) if args.model == "linear" else OneBit(sigma2)
+    channel = next(c for c in CHANNELS if c.tag == args.model)
+    for flag in ("sigma2", "beta"):
+        if flag != channel.noise_name and getattr(args, flag) is not None:
+            raise ValueError(
+                f"--{flag} does not apply to the {channel.tag} model; use --{channel.noise_name}"
+            )
+    noise = getattr(args, channel.noise_name)
+    return channel(1.0 if noise is None else noise)
 
 
 def _add_trial_args(sub: argparse.ArgumentParser) -> None:
@@ -112,7 +106,7 @@ def _cmd_simulate(args) -> int:
     _emit(args, result.to_csv())
     row = result.rows[0]
     print(
-        f"simulate: {model_tag(config.model)} n={config.n} k={config.k} m={config.m} "
+        f"simulate: {config.model.tag} n={config.n} k={config.k} m={config.m} "
         f"decoder={config.decoder}: {row.successes}/{row.trials} exact recoveries "
         f"(rate {row.success_rate:.4g}, 95% CI [{row.ci_low:.4g}, {row.ci_high:.4g}])",
         file=sys.stderr,
@@ -155,27 +149,19 @@ def _cmd_m95(args) -> int:
         threshold=args.success_threshold,
         workers=args.workers,
     )
+    model = config.model
     payload = {
         "config": {
-            "model": model_tag(config.model),
+            "model": model.tag,
             "n": config.n,
             "k": config.k,
-            "sigma2": config.model.sigma2 if isinstance(config.model, (Linear, OneBit)) else None,
-            "beta": config.model.beta if isinstance(config.model, Logistic) else None,
+            "sigma2": None,
+            "beta": None,
+            model.noise_name: noise_param(model),
             "decoder": config.decoder,
             "seed": config.master_seed,
         },
-        "m95": result.m95,
-        "threshold": result.threshold,
-        "trials_per_probe": result.trials_per_probe,
-        "successes": result.successes,
-        "success_rate": result.success_rate,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "probes": [
-            {"m": p.m, "successes": p.successes, "trials": p.trials, "rate": p.rate}
-            for p in result.probes
-        ],
+        **asdict(result),
     }
     _emit(args, json.dumps(payload, indent=2) + "\n")
     print(f"m95: threshold reached at m={result.m95}", file=sys.stderr)
@@ -225,7 +211,7 @@ def _cmd_check_moments(args) -> int:
         beta = 1.0 if args.beta is None else args.beta
         check = moment_check_logistic(args.k, beta, args.samples, master_seed=args.seed)
         params = {"model": "logistic", "k": args.k, "beta": beta}
-    payload = {**params, "seed": args.seed, **check.to_dict()}
+    payload = {**params, "seed": args.seed, **asdict(check)}
     _emit(args, json.dumps(payload, indent=2) + "\n")
     print(
         f"check-moments: estimate {check.estimate:.6g} vs target {check.target:.6g} "
@@ -287,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=("onebit", "logistic"))
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--beta", type=_beta, default=None)
+    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", default=None)

@@ -10,13 +10,12 @@ measure-zero event, but tests need reproducible answers.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Linear, Logistic, MeasurementVector, OneBit, SensingMatrix, SparseSignal, sign_pm1
+from .model import MeasurementVector, OneBit, SensingMatrix, SparseSignal, sign_pm1
 
 __all__ = [
     "BudgetExceededError",
@@ -58,24 +57,6 @@ class DecodeResult:
 
     def support_set(self) -> frozenset:
         return frozenset(int(i) for i in self.support)
-
-    def to_json(self) -> str:
-        payload = {
-            "decoder": self.decoder,
-            "support": [int(i) for i in self.support],
-            "scores": None if self.scores is None else [float(s) for s in self.scores],
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "DecodeResult":
-        payload = json.loads(text)
-        scores = payload.get("scores")
-        return DecodeResult(
-            np.asarray(payload["support"], dtype=np.int64),
-            payload["decoder"],
-            None if scores is None else np.asarray(scores, dtype=np.float64),
-        )
 
 
 def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -124,7 +105,7 @@ def mle_decode_linear(
     Intended as a slow, auditable oracle; ``max_candidates`` guards the
     runtime.
     """
-    if not isinstance(y.model, Linear):
+    if y.model.tag != "linear":
         raise ValueError("maximum-likelihood decoding is implemented for the linear channel only")
     if y.m != A.m:
         raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
@@ -155,10 +136,9 @@ def quantize(y: MeasurementVector) -> MeasurementVector:
     A linear vector becomes a one-bit vector over the same channel noise;
     a one-bit vector is returned unchanged (sign is idempotent).
     """
-    if isinstance(y.model, Logistic):
+    if y.model.tag == "logistic":
         raise ValueError("quantization applies to linear (or already one-bit) measurements")
-    model = y.model if isinstance(y.model, OneBit) else OneBit(y.model.sigma2)
-    return MeasurementVector(model, sign_pm1(y.values))
+    return MeasurementVector(OneBit(y.model.sigma2), sign_pm1(y.values))
 
 
 def quantize_then_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> DecodeResult:

@@ -13,23 +13,21 @@ results never depend on execution order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from time import perf_counter
 
 import numpy as np
 from scipy.special import ndtri
 
 from .decode import mle_decode_linear, quantize_then_decode, topk_correlation_decode
 from .model import (
-    Linear,
-    Logistic,
     Model,
     OneBit,
     gen_sensing_matrix,
     link_slope,
     measure,
-    model_tag,
+    noise_param,
     random_signal,
     sign_pm1,
 )
@@ -91,10 +89,10 @@ class TrialConfig:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
-        if self.decoder in ("mle", "quantize") and not isinstance(self.model, Linear):
+        if self.decoder in ("mle", "quantize") and self.model.tag != "linear":
             raise ValueError(
                 f"the {self.decoder!r} decoder requires the linear channel, "
-                f"got {model_tag(self.model)}"
+                f"got {self.model.tag}"
             )
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed <= _U64_MAX):
             raise ValueError(f"master_seed must be an unsigned 64-bit integer")
@@ -107,7 +105,6 @@ class TrialOutcome:
 
     success: bool
     decoded_support: tuple
-    elapsed: float
 
 
 def _decode(config: TrialConfig, A, y):
@@ -120,14 +117,13 @@ def _decode(config: TrialConfig, A, y):
 
 def run_trial(config: TrialConfig, trial_index: int) -> TrialOutcome:
     """Fresh signal, matrix, and noise for this index; decode; compare."""
-    start = perf_counter()
     base = derive_trial_stream(config.master_seed, trial_index)
     x = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL))
     A = gen_sensing_matrix(config.m, config.n, base.substream(ROLE_MATRIX))
     y = measure(A, x, config.model, base.substream(ROLE_NOISE))
     result = _decode(config, A, y)
     success = result.support_set() == frozenset(x.support)
-    return TrialOutcome(success, tuple(int(i) for i in result.support), perf_counter() - start)
+    return TrialOutcome(success, tuple(int(i) for i in result.support))
 
 
 def _block_successes(config: TrialConfig, start: int, stop: int) -> int:
@@ -137,13 +133,19 @@ def _block_successes(config: TrialConfig, start: int, stop: int) -> int:
     return count
 
 
+def _worker_count(workers: int, trials: int) -> int:
+    """Processes to start: the request, capped by the trial count and by
+    the CPUs this process may run on."""
+    return max(1, min(workers, trials, len(os.sched_getaffinity(0))))
+
+
 def count_successes(config: TrialConfig, trials: int, workers: int = 1) -> int:
     """Successes over trial indices [0, trials); identical for any worker count."""
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if workers <= 1 or trials == 1:
+    workers = _worker_count(workers, trials)
+    if workers == 1:
         return _block_successes(config, 0, trials)
-    workers = min(workers, trials)
     edges = [round(i * trials / workers) for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
@@ -196,17 +198,15 @@ class SweepResult:
 
     def to_csv(self) -> str:
         cfg = self.config
-        tag = model_tag(cfg.model)
-        sigma2 = f"{cfg.model.sigma2:.6g}" if isinstance(cfg.model, (Linear, OneBit)) else ""
-        beta = f"{cfg.model.beta:.6g}" if isinstance(cfg.model, Logistic) else ""
+        noise = {"sigma2": "", "beta": "", cfg.model.noise_name: f"{noise_param(cfg.model):.6g}"}
         lines = [
             "model,n,k,m,sigma2,beta,decoder,trials,successes,"
             "success_rate,ci_low,ci_high,seed"
         ]
         for row in self.rows:
             lines.append(
-                f"{tag},{cfg.n},{cfg.k},{row.m},{sigma2},{beta},{cfg.decoder},"
-                f"{row.trials},{row.successes},{row.success_rate:.6g},"
+                f"{cfg.model.tag},{cfg.n},{cfg.k},{row.m},{noise['sigma2']},{noise['beta']},"
+                f"{cfg.decoder},{row.trials},{row.successes},{row.success_rate:.6g},"
                 f"{row.ci_low:.6g},{row.ci_high:.6g},{cfg.master_seed}"
             )
         return "\n".join(lines) + "\n"
@@ -324,15 +324,6 @@ class MomentCheck:
     std_error: float
     z_score: float
     samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "target": self.target,
-            "std_error": self.std_error,
-            "z_score": self.z_score,
-            "samples": self.samples,
-        }
 
 
 def _z_score(estimate: float, target: float, std_error: float) -> float:

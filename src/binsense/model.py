@@ -29,11 +29,13 @@ __all__ = [
     "OneBit",
     "Logistic",
     "Model",
+    "CHANNELS",
     "SparseSignal",
     "SensingMatrix",
     "MeasurementVector",
     "model_tag",
     "noise_param",
+    "output_scale",
     "sign_pm1",
     "random_signal",
     "gen_sensing_matrix",
@@ -44,8 +46,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Linear:
-    """Additive Gaussian channel with noise variance sigma2 >= 0."""
+class _GaussianNoise:
+    """Shared base of the two channels driven by additive N(0, sigma2) noise."""
+
+    noise_name = "sigma2"
 
     sigma2: float
 
@@ -56,15 +60,19 @@ class Linear:
 
 
 @dataclass(frozen=True)
-class OneBit:
+class Linear(_GaussianNoise):
+    """Additive Gaussian channel with noise variance sigma2 >= 0."""
+
+    tag = "linear"
+    binary = False
+
+
+@dataclass(frozen=True)
+class OneBit(_GaussianNoise):
     """Sign of the noisy linear measurement; sigma2 = 0 is the clean sign channel."""
 
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
-            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
+    tag = "onebit"
+    binary = True
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,10 @@ class Logistic:
     noiseless limit (y = sign(t)), while beta = 0 would make the output
     independent of the signal and is rejected at construction.
     """
+
+    tag = "logistic"
+    noise_name = "beta"
+    binary = True
 
     beta: float
 
@@ -89,22 +101,26 @@ class Logistic:
 
 Model = Union[Linear, OneBit, Logistic]
 
+# The registry of channels.  A channel's index here is its tag in the
+# replay file format, so the order is fixed.
+CHANNELS = (Linear, OneBit, Logistic)
+
 
 def model_tag(model: Model) -> str:
-    if isinstance(model, Linear):
-        return "linear"
-    if isinstance(model, OneBit):
-        return "onebit"
-    if isinstance(model, Logistic):
-        return "logistic"
-    raise TypeError(f"not a measurement model: {model!r}")
+    return model.tag
 
 
 def noise_param(model: Model) -> float:
     """The channel's scalar noise knob: sigma2 for linear/one-bit, beta for logistic."""
-    if isinstance(model, (Linear, OneBit)):
-        return model.sigma2
-    return model.beta
+    return getattr(model, model.noise_name)
+
+
+def output_scale(model: Model, k: int) -> float:
+    """The variance scale of the top-k closed form: k + sigma2 for linear and
+    one-bit, k + 1/beta^2 for logistic (k alone at beta = inf)."""
+    if isinstance(model, Logistic):
+        return k + (0.0 if math.isinf(model.beta) else 1.0 / model.beta ** 2)
+    return k + model.sigma2
 
 
 def sign_pm1(t) -> np.ndarray:
@@ -197,7 +213,7 @@ class MeasurementVector:
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"values must be a 1-D array, got shape {arr.shape}")
-        if isinstance(self.model, (OneBit, Logistic)) and not np.all(np.abs(arr) == 1.0):
+        if self.model.binary and not np.all(np.abs(arr) == 1.0):
             raise ValueError("binary-channel measurements must lie in {-1, +1}")
         object.__setattr__(self, "values", arr)
 
@@ -222,13 +238,11 @@ def measure(
     else:
         t = np.zeros(A.m, dtype=np.float64)
 
-    if isinstance(model, (Linear, OneBit)):
+    if isinstance(model, _GaussianNoise):
         if model.sigma2 > 0.0:
             z = math.sqrt(model.sigma2) * sample_gaussian(stream, A.m)
             t = t + z
-        if isinstance(model, Linear):
-            return MeasurementVector(model, t)
-        return MeasurementVector(model, sign_pm1(t))
+        return MeasurementVector(model, sign_pm1(t) if model.binary else t)
 
     if isinstance(model, Logistic):
         if math.isinf(model.beta):

@@ -5,7 +5,8 @@ Byte layout (all little-endian), 56-byte header followed by raw floats:
     offset  size  field
     0       8     magic, the ASCII bytes "BSREPLAY"
     8       2     format version (u16), currently 1
-    10      2     channel tag (u16): 0 linear, 1 one-bit, 2 logistic
+    10      2     channel tag (u16): index in model.CHANNELS, so 0 linear,
+                  1 one-bit, 2 logistic; that order is part of the format
     12      4     flags (u32): bit 0 set when seed provenance is recorded
     16      8     m, number of rows (u64)
     24      8     n, number of columns (u64)
@@ -24,14 +25,7 @@ import struct
 
 import numpy as np
 
-from .model import (
-    Linear,
-    Logistic,
-    MeasurementVector,
-    Model,
-    OneBit,
-    SensingMatrix,
-)
+from .model import CHANNELS, MeasurementVector, SensingMatrix, noise_param
 from .numerics import RngStream
 
 __all__ = ["save_replay", "load_replay", "REPLAY_MAGIC"]
@@ -41,18 +35,6 @@ _VERSION = 1
 _HEADER = struct.Struct("<8sHHIQQdQQ")
 _FLAG_HAS_PROVENANCE = 1
 
-_TAG_OF_MODEL = {Linear: 0, OneBit: 1, Logistic: 2}
-
-
-def _model_from_tag(tag: int, noise: float) -> Model:
-    if tag == 0:
-        return Linear(noise)
-    if tag == 1:
-        return OneBit(noise)
-    if tag == 2:
-        return Logistic(noise)
-    raise ValueError(f"unknown channel tag {tag}")
-
 
 def save_replay(path, matrix: SensingMatrix, measurements: MeasurementVector) -> None:
     """Write matrix and measurements to ``path`` in the documented layout."""
@@ -61,8 +43,8 @@ def save_replay(path, matrix: SensingMatrix, measurements: MeasurementVector) ->
             f"measurement length {measurements.m} does not match matrix rows {matrix.m}"
         )
     model = measurements.model
-    tag = _TAG_OF_MODEL[type(model)]
-    noise = model.beta if isinstance(model, Logistic) else model.sigma2
+    tag = CHANNELS.index(type(model))
+    noise = noise_param(model)
     flags = 0
     seed = sid = 0
     if matrix.stream is not None:
@@ -95,5 +77,6 @@ def load_replay(path) -> tuple[SensingMatrix, MeasurementVector]:
     entries = body[: m * n].reshape(m, n).copy()
     values = body[m * n :].copy()
     stream = RngStream(seed, sid) if flags & _FLAG_HAS_PROVENANCE else None
-    model = _model_from_tag(tag, noise)
-    return SensingMatrix(entries, stream), MeasurementVector(model, values)
+    if tag >= len(CHANNELS):
+        raise ValueError(f"unknown channel tag {tag}")
+    return SensingMatrix(entries, stream), MeasurementVector(CHANNELS[tag](noise), values)

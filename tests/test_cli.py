@@ -8,7 +8,7 @@ import pytest
 from binsense.bounds import BoundQuery, bound_report, curve_to_csv, mle_bound_curve
 from binsense.cli import main
 from binsense.harness import TrialConfig, sweep
-from binsense.model import Linear, OneBit
+from binsense.model import Linear, Logistic, OneBit
 
 
 def test_simulate_matches_library(tmp_path):
@@ -39,34 +39,49 @@ def test_sweep_grid_and_rows(tmp_path):
     assert lines[0].startswith("model,n,k,m,")
 
 
-def test_m95_json(tmp_path):
+# every channel with its noise flag, the model it builds, and the
+# sigma2/beta columns the JSON outputs must carry for it
+CHANNEL_CASES = [
+    pytest.param(["--model", "linear", "--sigma2", "1"], Linear(1.0), (1.0, None), id="linear"),
+    pytest.param(["--model", "onebit", "--sigma2", "0"], OneBit(0.0), (0.0, None), id="onebit"),
+    pytest.param(["--model", "logistic", "--beta", "4"], Logistic(4.0), (None, 4.0), id="logistic"),
+]
+
+
+@pytest.mark.parametrize("model_args, model, noise", CHANNEL_CASES)
+def test_m95_json(tmp_path, model_args, model, noise):
     out = tmp_path / "m95.json"
     code = main(
         [
-            "m95", "--model", "onebit", "--n", "64", "--k", "4", "--sigma2", "0",
+            "m95", *model_args, "--n", "64", "--k", "4",
             "--m-lo", "10", "--m-hi", "300", "--trials-per-probe", "40",
             "--seed", "3", "--out", str(out),
         ]
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["config"]["model"] == "onebit"
+    assert payload["config"]["model"] == model.tag
+    assert (payload["config"]["sigma2"], payload["config"]["beta"]) == noise
     assert 10 <= payload["m95"] <= 300
     assert payload["success_rate"] >= payload["threshold"] == 0.95
     assert all({"m", "successes", "trials", "rate"} <= set(p) for p in payload["probes"])
 
 
-def test_bounds_matches_library(tmp_path):
+@pytest.mark.parametrize("model_args, model, noise", CHANNEL_CASES)
+def test_bounds_matches_library(tmp_path, model_args, model, noise):
     out = tmp_path / "bounds.json"
     code = main(
         [
-            "bounds", "--model", "linear", "--n", "1024", "--k", "16",
-            "--sigma2", "1", "--delta", "0.05", "--c-const", "2.0", "--out", str(out),
+            "bounds", *model_args, "--n", "1024", "--k", "16",
+            "--delta", "0.05", "--c-const", "2.0", "--out", str(out),
         ]
     )
     assert code == 0
-    expected = bound_report(BoundQuery(1024, 16, Linear(1.0), delta=0.05, c=2.0))
-    assert json.loads(out.read_text()) == expected.to_dict()
+    payload = json.loads(out.read_text())
+    expected = bound_report(BoundQuery(1024, 16, model, delta=0.05, c=2.0))
+    assert payload == expected.to_dict()
+    assert payload["query"]["model"] == model.tag
+    assert (payload["query"]["sigma2"], payload["query"]["beta"]) == noise
 
 
 def test_plot1_csv_and_svg(tmp_path):

@@ -239,18 +239,5 @@ class TestDecimalDecoder:
 
 
 class TestDecodeResult:
-    def test_json_roundtrip(self):
-        result = DecodeResult(np.array([1, 5]), "topk", np.array([0.5, -1.0, 2.0, 0.0, 0.1, 9.0]))
-        back = DecodeResult.from_json(result.to_json())
-        assert np.array_equal(back.support, result.support)
-        assert np.array_equal(back.scores, result.scores)
-        assert back.decoder == "topk"
-
-    def test_json_without_scores(self):
-        result = DecodeResult(np.array([0]), "mle")
-        back = DecodeResult.from_json(result.to_json())
-        assert back.scores is None
-        assert np.array_equal(back.support, [0])
-
     def test_support_set(self):
         assert DecodeResult(np.array([2, 0]), "mle").support_set() == {0, 2}

@@ -2,11 +2,13 @@
 moment checks, and the Wilson interval."""
 
 import math
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from binsense import harness
 from binsense.harness import (
     BracketError,
     TrialConfig,
@@ -80,6 +82,38 @@ class TestCountSuccesses:
         config = TrialConfig(OneBit(1.0), 32, 2, 30, master_seed=5)
         manual = sum(run_trial(config, i).success for i in range(15))
         assert count_successes(config, 15) == manual
+
+    def test_worker_count_capped(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert harness._worker_count(5000, 5000) == 3
+        assert harness._worker_count(2, 5000) == 2
+        assert harness._worker_count(5000, 2) == 2
+        assert harness._worker_count(0, 10) == 1
+
+    def test_pool_never_larger_than_cpus(self, monkeypatch):
+        # a stand-in pool runs the blocks inline, so no process is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        config = TrialConfig(OneBit(1.0), 32, 2, 30, master_seed=5)
+        assert count_successes(config, 9, workers=5000) == count_successes(config, 9)
+        assert sizes == [2]
 
 
 class TestWilsonInterval:

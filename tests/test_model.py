@@ -1,11 +1,17 @@
 """Channels, signals, and designs: contracts, links, and Monte Carlo checks."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import binsense
 from binsense.model import (
+    CHANNELS,
     Linear,
     Logistic,
     MeasurementVector,
@@ -47,6 +53,12 @@ class TestModelSpecs:
         assert model_tag(Logistic(2.0)) == "logistic"
         assert noise_param(OneBit(4.0)) == 4.0
         assert noise_param(Logistic(0.5)) == 0.5
+        # the registry order is the replay file's channel tag
+        assert [c.tag for c in CHANNELS] == ["linear", "onebit", "logistic"]
+        assert [c.noise_name for c in CHANNELS] == ["sigma2", "sigma2", "beta"]
+        assert [c.binary for c in CHANNELS] == [False, True, True]
+        assert repr(Linear(1)) == "Linear(sigma2=1.0)"
+        assert Linear(1.0) != OneBit(1.0)
 
 
 class TestSparseSignal:
@@ -146,6 +158,22 @@ class TestMeasure:
             ybit = measure(A, x, OneBit(sigma2), RngStream(9, 2))
             assert np.array_equal(sign_pm1(ylin.values), ybit.values)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(1, 30),
+        k_frac=st.floats(0.0, 1.0),
+        sigma2=st.floats(0.0, 100.0),
+    )
+    def test_paired_noise_property(self, seed, m, n, k_frac, sigma2):
+        # the README's paired-noise contract over random seeds and shapes
+        x = random_signal(n, max(1, round(k_frac * n)), RngStream(seed, 0))
+        A = gen_sensing_matrix(m, n, RngStream(seed, 1))
+        ylin = measure(A, x, Linear(sigma2), RngStream(seed, 2))
+        ybit = measure(A, x, OneBit(sigma2), RngStream(seed, 2))
+        assert np.array_equal(sign_pm1(ylin.values), ybit.values)
+
     def test_dimension_mismatch(self):
         A = gen_sensing_matrix(5, 7, RngStream(0))
         with pytest.raises(ValueError):
@@ -229,3 +257,31 @@ class TestLinkSlope:
     def test_decreasing_in_noise(self):
         assert link_slope(OneBit(16.0), 10) < link_slope(OneBit(0.0), 10)
         assert link_slope(Logistic(0.1), 10) < link_slope(Logistic(10.0), 10)
+
+
+def channel_isinstance_lines(path) -> list:
+    """Line numbers of the isinstance calls in ``path`` that name a channel class."""
+    channels = {c.__name__ for c in CHANNELS}
+    lines = []
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id != "isinstance" or len(node.args) != 2:
+            continue
+        named = {
+            getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(node.args[1])
+        }
+        if named & channels:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_model_branches_on_channel_class():
+    # other modules read a channel's tag, noise_name and binary facts
+    package = Path(binsense.__file__).parent
+    offenders = {
+        path.name: channel_isinstance_lines(path)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "model.py"
+    }
+    assert {name: lines for name, lines in offenders.items() if lines} == {}

@@ -80,6 +80,11 @@ def test_corruption_detected(tmp_path, instance):
     with pytest.raises(ValueError):
         load_replay(truncated)
 
+    bad_tag = tmp_path / "tag.bin"
+    bad_tag.write_bytes(bytes(raw[:10]) + (3).to_bytes(2, "little") + bytes(raw[12:]))
+    with pytest.raises(ValueError, match="unknown channel tag 3"):
+        load_replay(bad_tag)
+
 
 def test_no_provenance_for_manual_matrix(tmp_path):
     from binsense.model import SensingMatrix
