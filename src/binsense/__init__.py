@@ -46,6 +46,8 @@ from .decode import (
     decimal_roundtrip,
     decimal_row,
     mle_decode_linear,
+    mle_prefix_decode,
+    prefix_scores,
     quantize,
     quantize_then_decode,
     topk_correlation_decode,

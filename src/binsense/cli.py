@@ -45,8 +45,8 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _add_model_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", required=True, choices=[c.tag for c in CHANNELS])
+def _add_model_args(sub: argparse.ArgumentParser, tags=tuple(c.tag for c in CHANNELS)) -> None:
+    sub.add_argument("--model", required=True, choices=tags)
     sub.add_argument("--sigma2", type=float, default=None, help="noise variance (linear/onebit)")
     sub.add_argument("--beta", type=float, default=None, help="logistic noise level; 'inf' allowed")
 
@@ -198,20 +198,16 @@ def _cmd_plot1(args) -> int:
     return 0
 
 
+_MOMENT_CHECKS = {"onebit": moment_check_onebit, "logistic": moment_check_logistic}
+
+
 def _cmd_check_moments(args) -> int:
-    if args.model == "onebit":
-        if args.beta is not None:
-            raise ValueError("--beta does not apply to the onebit moment check")
-        sigma2 = 1.0 if args.sigma2 is None else args.sigma2
-        check = moment_check_onebit(args.k, sigma2, args.samples, master_seed=args.seed)
-        params = {"model": "onebit", "k": args.k, "sigma2": sigma2}
-    else:
-        if args.sigma2 is not None:
-            raise ValueError("--sigma2 does not apply to the logistic moment check")
-        beta = 1.0 if args.beta is None else args.beta
-        check = moment_check_logistic(args.k, beta, args.samples, master_seed=args.seed)
-        params = {"model": "logistic", "k": args.k, "beta": beta}
-    payload = {**params, "seed": args.seed, **asdict(check)}
+    model = _model_from_args(args)
+    noise = noise_param(model)
+    check = _MOMENT_CHECKS[model.tag](args.k, noise, args.samples, master_seed=args.seed)
+    payload = {
+        "model": model.tag, "k": args.k, model.noise_name: noise, "seed": args.seed, **asdict(check)
+    }
     _emit(args, json.dumps(payload, indent=2) + "\n")
     print(
         f"check-moments: estimate {check.estimate:.6g} vs target {check.target:.6g} "
@@ -270,10 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plot1)
 
     p = subs.add_parser("check-moments", help="Monte Carlo check of a closed-form moment")
-    p.add_argument("--model", required=True, choices=("onebit", "logistic"))
+    _add_model_args(p, tags=tuple(_MOMENT_CHECKS))
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", default=None)

@@ -5,6 +5,13 @@ Tie rules are deterministic everywhere: equal correlation scores resolve
 toward the smaller column index, and equal MLE residuals toward the
 lexicographically smaller support.  Gaussian inputs make exact ties a
 measure-zero event, but tests need reproducible answers.
+
+Both statistics are sums over rows, and both are added up one row at a
+time in row order.  The score or residual of the first m rows is thus a
+function of those rows alone, so one pass over a tall matrix yields the
+exact statistic of every row prefix (:func:`prefix_scores`,
+:func:`mle_prefix_decode`), equal bit for bit to decoding the prefix on
+its own.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ __all__ = [
     "BudgetExceededError",
     "DecodeResult",
     "topk_correlation_decode",
+    "prefix_scores",
     "mle_decode_linear",
+    "mle_prefix_decode",
     "quantize",
     "quantize_then_decode",
     "decimal_row",
@@ -76,34 +85,74 @@ def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(chosen).astype(np.int64)
 
 
-def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> DecodeResult:
-    """Support estimate from the k columns most correlated with the output.
+def _check_prefixes(ms, m: int) -> np.ndarray:
+    rows = np.asarray(ms, dtype=np.int64)
+    ok = rows.ndim == 1 and rows.size > 0 and 1 <= rows[0] and rows[-1] <= m
+    if not (ok and np.all(np.diff(rows) > 0)):
+        raise ValueError(f"prefix lengths must be strictly ascending within [1, {m}], got {ms!r}")
+    return rows
 
-    Scores are l_i = sum_j y_j A_{j,i}; the estimate is the index set of
-    the k largest scores.  Works for every channel.
+
+# rows of y_i * A_i formed at once by prefix_scores
+_ROW_BLOCK = 256
+
+
+def prefix_scores(A: SensingMatrix, y: MeasurementVector, ms) -> np.ndarray:
+    """Correlation scores of the first m rows, for each m in the ascending ``ms``.
+
+    Row j of the (len(ms), n) result is sum_{i < ms[j]} y_i A_i, added up
+    one row at a time in row order; it depends on those rows alone, not
+    on A.m or on ``ms``.  Rows past the last m are never read.
     """
     if y.m != A.m:
         raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
+    marks = _check_prefixes(ms, A.m).tolist()
+    out = np.empty((len(marks), A.n))
+    acc = np.zeros(A.n)
+    j = 0
+    for start in range(0, marks[-1], _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, marks[-1])
+        terms = A.entries[start:stop] * y.values[start:stop, None]
+        for count, term in enumerate(terms, start + 1):
+            acc += term
+            if count == marks[j]:
+                out[j] = acc
+                j += 1
+    return out
+
+
+def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> DecodeResult:
+    """Support estimate from the k columns most correlated with the output.
+
+    Scores are l_i = sum_j y_j A_{j,i} (see :func:`prefix_scores`); the
+    estimate is the index set of the k largest scores.  Works for every
+    channel.
+    """
     if not 1 <= k <= A.n:
         raise ValueError(f"need 1 <= k <= n={A.n}, got k={k}")
-    scores = y.values @ A.entries
+    scores = prefix_scores(A, y, [A.m])[0]
     return DecodeResult(_top_k_indices(scores, k), "topk", scores)
 
 
-def mle_decode_linear(
+# squared residuals held at once by the MLE oracle (candidates x rows)
+_MLE_BLOCK = 1 << 13
+
+
+def mle_prefix_decode(
     A: SensingMatrix,
     y: MeasurementVector,
     k: int,
+    ms,
     max_candidates: int = 1_000_000,
-) -> DecodeResult:
-    """Exhaustive maximum-likelihood decoding for the linear channel.
+) -> np.ndarray:
+    """Exhaustive MLE support of the first m rows, for each m in the ascending ``ms``.
 
-    With Gaussian noise the likelihood maximizer over k-sparse binary
-    candidates is the support minimizing ||y - A x'||^2, found here by
-    enumerating all C(n, k) supports in lexicographic order (so equal
-    residuals keep the first, lexicographically smallest, support).
-    Intended as a slow, auditable oracle; ``max_candidates`` guards the
-    runtime.
+    One pass over all C(n, k) supports in lexicographic order, a block of
+    candidates at a time: each candidate's squared residuals are summed
+    row by row (a cumulative sum) and read at every m, and a candidate
+    displaces the best one at m only with a strictly smaller sum, so
+    equal residuals keep the lexicographically smallest support.
+    Returns a (len(ms), k) array.
     """
     if y.model.tag != "linear":
         raise ValueError("maximum-likelihood decoding is implemented for the linear channel only")
@@ -117,17 +166,46 @@ def mle_decode_linear(
             f"C({A.n}, {k}) = {n_candidates} supports exceeds the budget of "
             f"{max_candidates}; shrink the instance or raise max_candidates"
         )
-    cols = A.entries
-    yv = y.values
-    best_support = None
-    best_ss = math.inf
-    for combo in itertools.combinations(range(A.n), k):
-        r = yv - np.take(cols, combo, axis=1).sum(axis=1)
-        ss = float(r @ r)
-        if ss < best_ss:
-            best_ss = ss
-            best_support = combo
-    return DecodeResult(np.array(best_support, dtype=np.int64), "mle")
+    rows = _check_prefixes(ms, A.m)
+    cols = np.ascontiguousarray(A.entries[: rows[-1]].T)  # column i of A is row i here
+    yv = y.values[: rows[-1]]
+    best_ss = np.full(rows.size, math.inf)
+    best = np.zeros((rows.size, k), dtype=np.int64)
+    combos = itertools.combinations(range(A.n), k)
+    per_block = max(1, _MLE_BLOCK // int(rows[-1]))
+    while (block := np.array(list(itertools.islice(combos, per_block)), dtype=np.int64)).size:
+        fit = cols[block[:, 0]]
+        for p in range(1, k):
+            fit += cols[block[:, p]]
+        np.subtract(yv, fit, out=fit)  # residuals, one candidate per row
+        fit *= fit
+        np.cumsum(fit, axis=1, out=fit)
+        ss = fit[:, rows - 1]
+        first = ss.argmin(axis=0)  # the first minimum: lexicographically smallest
+        low = ss[first, np.arange(rows.size)]
+        better = low < best_ss
+        best_ss[better] = low[better]
+        best[better] = block[first[better]]
+    return best
+
+
+def mle_decode_linear(
+    A: SensingMatrix,
+    y: MeasurementVector,
+    k: int,
+    max_candidates: int = 1_000_000,
+) -> DecodeResult:
+    """Exhaustive maximum-likelihood decoding for the linear channel.
+
+    With Gaussian noise the likelihood maximizer over k-sparse binary
+    candidates is the support minimizing ||y - A x'||^2, found here by
+    enumerating all C(n, k) supports in lexicographic order (so equal
+    residuals keep the first, lexicographically smallest, support); it
+    is :func:`mle_prefix_decode` at the full m.  Intended as a slow,
+    auditable oracle; ``max_candidates`` guards the runtime.
+    """
+    support = mle_prefix_decode(A, y, k, [A.m], max_candidates)[0]
+    return DecodeResult(support, "mle")
 
 
 def quantize(y: MeasurementVector) -> MeasurementVector:

@@ -8,6 +8,16 @@ so sweeps are reproducible for any worker count and probes at different
 m reuse the same underlying instances (paired sampling, which also keeps
 curve comparisons low-variance).  Aggregation is success counting, so
 results never depend on execution order.
+
+Draws are prefix-stable (see :mod:`binsense.numerics`): the trial at m
+rows is the first m rows of the trial at any larger m.  A sweep or a
+threshold search therefore draws each trial once, at the largest m it
+needs, and judges it at every smaller m from running sums over the rows
+(:func:`~binsense.decode.prefix_scores`,
+:func:`~binsense.decode.mle_prefix_decode`).  Each verdict is bit for bit
+the one a trial drawn at that m alone gets, so a count never depends on
+the grid, the bracket, or which other m were asked for.  One process pool
+serves a whole call; each worker runs a contiguous block of trials.
 """
 
 from __future__ import annotations
@@ -20,7 +30,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .decode import mle_decode_linear, quantize_then_decode, topk_correlation_decode
+from .decode import (
+    _top_k_indices,
+    mle_decode_linear,
+    mle_prefix_decode,
+    prefix_scores,
+    quantize,
+    quantize_then_decode,
+    topk_correlation_decode,
+)
 from .model import (
     Model,
     OneBit,
@@ -100,11 +118,20 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Exact-recovery verdict of one trial: success iff the decoded
-    support equals the true support as a set."""
+    """Exact-recovery verdicts of one trial drawn at config.m rows.
 
-    success: bool
+    ``successes[j]`` is True iff decoding the first ``ms[j]`` rows (see
+    :func:`run_trial`) returns the true support as a set; the last m is
+    config.m, and ``decoded_support`` is the support decoded there.
+    """
+
+    successes: tuple
     decoded_support: tuple
+
+    @property
+    def success(self) -> bool:
+        """The verdict at config.m."""
+        return self.successes[-1]
 
 
 def _decode(config: TrialConfig, A, y):
@@ -115,22 +142,61 @@ def _decode(config: TrialConfig, A, y):
     return quantize_then_decode(A, y, config.k)
 
 
-def run_trial(config: TrialConfig, trial_index: int) -> TrialOutcome:
-    """Fresh signal, matrix, and noise for this index; decode; compare."""
+def _topk_recovers(scores: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """For each row of ``scores``, whether its k largest entries are ``support``.
+
+    They are when the smallest support score exceeds every other score;
+    on an exact tie the decoder's own tie rule decides.  Overwrites
+    ``scores``.
+    """
+    inside = scores[:, support]
+    low = inside.min(axis=1)
+    scores[:, support] = -np.inf
+    high = scores.max(axis=1)
+    ok = low > high
+    for j in np.flatnonzero(low == high):
+        scores[j, support] = inside[j]
+        ok[j] = np.array_equal(_top_k_indices(scores[j], support.size), support)
+    return ok
+
+
+def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
+    """Fresh signal, matrix and noise for this index at config.m rows;
+    decode the first m rows for every m in ``ms`` and compare.
+
+    ``ms`` is strictly ascending and ends at config.m; the default is
+    just config.m, which runs the decoder itself.  Several m are judged
+    through the decoders' prefix forms, which agree with it bit for bit
+    at every m.
+    """
+    ms = (config.m,) if ms is None else tuple(int(m) for m in ms)
+    if not ms or ms[-1] != config.m:
+        raise ValueError(f"ms must end at config.m={config.m}, got {ms}")
     base = derive_trial_stream(config.master_seed, trial_index)
     x = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL))
     A = gen_sensing_matrix(config.m, config.n, base.substream(ROLE_MATRIX))
     y = measure(A, x, config.model, base.substream(ROLE_NOISE))
-    result = _decode(config, A, y)
-    success = result.support_set() == frozenset(x.support)
-    return TrialOutcome(success, tuple(int(i) for i in result.support))
+    if len(ms) == 1:
+        result = _decode(config, A, y)
+        success = result.support_set() == frozenset(x.support)
+        return TrialOutcome((success,), tuple(int(i) for i in result.support))
+    truth = x.support_array
+    if config.decoder == "mle":
+        supports = mle_prefix_decode(A, y, config.k, ms, config.mle_budget)
+        successes = np.all(supports == truth, axis=1)
+        decoded = supports[-1]
+    else:
+        scores = prefix_scores(A, quantize(y) if config.decoder == "quantize" else y, ms)
+        decoded = _top_k_indices(scores[-1], config.k)
+        successes = _topk_recovers(scores, truth)
+    return TrialOutcome(tuple(bool(s) for s in successes), tuple(int(i) for i in decoded))
 
 
-def _block_successes(config: TrialConfig, start: int, stop: int) -> int:
-    count = 0
+def _block_counts(config: TrialConfig, ms: tuple, start: int, stop: int) -> list:
+    counts = np.zeros(len(ms), dtype=np.int64)
     for i in range(start, stop):
-        count += run_trial(config, i).success
-    return count
+        counts += run_trial(config, i, ms).successes
+    return counts.tolist()
 
 
 def _worker_count(workers: int, trials: int) -> int:
@@ -139,21 +205,41 @@ def _worker_count(workers: int, trials: int) -> int:
     return max(1, min(workers, trials, len(os.sched_getaffinity(0))))
 
 
-def count_successes(config: TrialConfig, trials: int, workers: int = 1) -> int:
-    """Successes over trial indices [0, trials); identical for any worker count."""
+def _check_memory(m: int, n: int) -> None:
+    """Refuse an m x n float64 matrix larger than this machine's memory."""
+    need = m * n * 8
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"a {m} x {n} sensing matrix needs {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of memory on this machine; reduce m or n"
+        )
+
+
+def _success_counts(config: TrialConfig, ms: tuple, trials: int, workers: int) -> list:
+    """Successes at every m in the ascending ``ms`` over trial indices
+    [0, trials), each trial drawn once at max(ms); identical for any
+    worker count."""
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _check_memory(ms[-1], config.n)
+    config = replace(config, m=ms[-1])
     workers = _worker_count(workers, trials)
     if workers == 1:
-        return _block_successes(config, 0, trials)
+        return _block_counts(config, ms, 0, trials)
     edges = [round(i * trials / workers) for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_block_successes, config, a, b)
+            pool.submit(_block_counts, config, ms, a, b)
             for a, b in zip(edges[:-1], edges[1:])
             if b > a
         ]
-        return sum(f.result() for f in futures)
+        return [sum(column) for column in zip(*(f.result() for f in futures))]
+
+
+def count_successes(config: TrialConfig, trials: int, workers: int = 1) -> int:
+    """Successes at config.m over trial indices [0, trials); identical for any worker count."""
+    return _success_counts(config, (config.m,), trials, workers)[0]
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple:
@@ -222,7 +308,8 @@ def sweep(
     """Success rate at every m in the (ascending) grid, same trials each.
 
     Trial indices are shared across grid points, so rows are paired
-    samples of the same underlying instances at growing m.
+    samples of the same underlying instances at growing m; each trial is
+    drawn once, at the largest m, and judged at every m of the grid.
     """
     grid = [int(m) for m in m_grid]
     if not grid:
@@ -230,9 +317,7 @@ def sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"m_grid must be strictly ascending, got {grid}")
     rows = []
-    for m in grid:
-        cfg = replace(config, m=m)
-        successes = count_successes(cfg, trials, workers)
+    for m, successes in zip(grid, _success_counts(config, tuple(grid), trials, workers)):
         lo, hi = wilson_interval(successes, trials, confidence)
         rows.append(SweepRow(m, trials, successes, successes / trials, lo, hi))
     return SweepResult(config, tuple(rows), confidence)
@@ -273,8 +358,10 @@ def estimate_m95(
 
     The bracket is validated first: the rate at m_hi must clear the
     threshold, else the search has no target and a BracketError is
-    raised.  Each probe reuses the same trial indices, so the returned
-    value is deterministic given the master seed.  The transition is
+    raised.  Every trial is drawn once, at m_hi, and judged at every m in
+    [m_lo, m_hi]; the bisection then reads its probes off those counts,
+    so every probe shares the same trials and the returned value is
+    deterministic given the master seed.  The transition is
     steep (all-or-nothing behavior), which is what makes bisection on a
     noisy but effectively monotone curve reliable.
     """
@@ -282,12 +369,13 @@ def estimate_m95(
         raise ValueError(f"need 1 <= m_lo < m_hi, got m_lo={m_lo!r}, m_hi={m_hi!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
+    counts = _success_counts(config, tuple(range(m_lo, m_hi + 1)), trials, workers)
     cache = {}
     probes = []
 
     def rate(m: int) -> float:
         if m not in cache:
-            successes = count_successes(replace(config, m=m), trials, workers)
+            successes = counts[m - m_lo]
             cache[m] = successes
             probes.append(ProbeRow(m, successes, trials, successes / trials))
         return cache[m] / trials

@@ -9,9 +9,15 @@ Randomness contract: every random quantity is drawn from an
 Philox 4x64 counter-based generator.  The pair maps bijectively onto
 Philox's 128-bit key, so distinct stream ids give independent sequences
 and the same pair replays the same sequence on any platform.  Gaussian
-variates use the Marsaglia polar transform over 53-bit uniform doubles,
-so the full pipeline from seed to sample is pinned down by this module
-rather than by library internals.
+variates are the inverse normal CDF (scipy's ``ndtri``) of the stream's
+53-bit uniform doubles, each moved into the open interval (0, 1); numpy's
+own normal sampler is never used, so the pipeline from seed to sample is
+pinned down here.
+
+Every draw is prefix-stable: sample i depends on uniform i alone, so the
+first c samples of a stream are the same whether c or more are drawn.
+A matrix drawn row by row at m rows is therefore the first m rows of the
+matrix at any larger m, which lets one draw serve every smaller m.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc as _erfc
+from scipy.special import ndtri
 
 __all__ = [
     "RngStream",
@@ -116,49 +123,32 @@ def std_normal_cdf(x):
     return out
 
 
+def _open_interval(u: np.ndarray) -> np.ndarray:
+    """Move 53-bit uniforms from [0, 1) into (0, 1), in place.
+
+    Keeps the top 52 bits j of each uniform and returns (j + 0.5) * 2**-52,
+    exactly: the 2**52 values lie symmetrically about 1/2, from 2**-53 to
+    1 - 2**-53, so their normal quantiles are finite and come in pairs of
+    opposite sign.
+    """
+    u *= 2.0 ** 52
+    np.floor(u, out=u)
+    u += 0.5
+    u *= 2.0 ** -52
+    return u
+
+
 def sample_gaussian(stream: RngStream, count: int) -> np.ndarray:
     """``count`` i.i.d. N(0, 1) variates, fully determined by the stream.
 
-    Marsaglia polar method.  Each pass draws a block of 2B uniform
-    doubles; candidate pair i is (draw i, draw B+i), pairs with squared
-    norm outside (0, 1) are rejected, and the accepted pairs emit all
-    their first components followed by all their second components.
-    Block sizes depend only on how many samples remain, so the output is
-    a pure function of (stream, count).
+    Inverse CDF: sample i is ``ndtri`` of the stream's uniform i, moved
+    into the open interval (0, 1).  Sample i depends on uniform i alone,
+    so a shorter draw is always a prefix of a longer one.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    gen = stream.generator()
-    out = np.empty(count, dtype=np.float64)
-    filled = 0
-    while filled < count:
-        pairs = (count - filled + 1) // 2
-        # acceptance rate is pi/4; the slack makes a second pass rare
-        batch = pairs + pairs // 2 + 16
-        r = gen.random(2 * batch)
-        u = r[:batch]
-        v = r[batch:]
-        u *= 2.0
-        u -= 1.0
-        v *= 2.0
-        v -= 1.0
-        s = u * u
-        s += v * v
-        keep = (s > 0.0) & (s < 1.0)
-        u, v, s = u[keep], v[keep], s[keep]
-        scale = np.log(s)
-        scale *= -2.0
-        scale /= s
-        np.sqrt(scale, out=scale)
-        u *= scale
-        v *= scale
-        take = min(u.size, count - filled)
-        out[filled:filled + take] = u[:take]
-        filled += take
-        take = min(v.size, count - filled)
-        out[filled:filled + take] = v[:take]
-        filled += take
-    return out
+    u = stream.generator().random(count)
+    return ndtri(_open_interval(u), out=u)
 
 
 def sample_indices(stream: RngStream, n: int, k: int) -> np.ndarray:

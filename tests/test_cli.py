@@ -1,6 +1,7 @@
 """CLI contract: flags, output files, exit codes, determinism."""
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -125,6 +126,19 @@ def test_check_moments_beta_inf_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "model_args,message",
+    [
+        (["--model", "onebit", "--beta", "2"], "--beta does not apply to the onebit model"),
+        (["--model", "logistic", "--sigma2", "1"], "--sigma2 does not apply to the logistic model"),
+    ],
+)
+def test_check_moments_wrong_noise_flag(capsys, model_args, message):
+    code = main(["check-moments", *model_args, "--k", "4", "--samples", "100"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_invalid_decoder_model_pair(self):
         code = main(
@@ -153,6 +167,21 @@ class TestExitCodes:
              "--sigma2", "0", "--decoder", "mle", "--trials", "1"]
         )
         assert code == 3
+
+    def test_matrix_too_large_refused(self, capsys):
+        # a 10^6 x 10^9 matrix is refused before anything is drawn
+        tracemalloc.start()
+        try:
+            code = main(
+                ["simulate", "--model", "onebit", "--n", "1000000000", "--k", "1",
+                 "--m", "1000000", "--trials", "2", "--workers", "2"]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "memory" in capsys.readouterr().err
+        assert peak < 2**20
 
     def test_bounds_k_too_large(self):
         code = main(["bounds", "--model", "linear", "--n", "100", "--k", "51", "--sigma2", "1"])

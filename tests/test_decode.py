@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from binsense import decode
 from binsense.decode import (
     DECIMAL_MAX_N,
     BudgetExceededError,
@@ -15,6 +16,8 @@ from binsense.decode import (
     decimal_roundtrip,
     decimal_row,
     mle_decode_linear,
+    mle_prefix_decode,
+    prefix_scores,
     quantize,
     quantize_then_decode,
     topk_correlation_decode,
@@ -156,6 +159,63 @@ class TestMleDecoder:
         perm = np.array(RngStream(8, 3).generator().permutation(8))
         permuted = mle_decode_linear(SensingMatrix(A.entries[:, perm]), y, 2).support
         assert np.array_equal(np.sort(perm[permuted]), base)
+
+
+class TestPrefixDecoding:
+    """One pass over a tall matrix decodes every row prefix, bit for bit."""
+
+    def _instance(self, model, m=60, n=12, k=3, seed=31):
+        x = random_signal(n, k, RngStream(seed, 0))
+        A = gen_sensing_matrix(m, n, RngStream(seed, 1))
+        return x, A, measure(A, x, model, RngStream(seed, 2))
+
+    def _prefix(self, A, y, m):
+        return SensingMatrix(A.entries[:m]), MeasurementVector(y.model, y.values[:m])
+
+    def test_scores_are_row_by_row_sums(self):
+        _, A, y = self._instance(Linear(1.0))
+        ms = [1, 7, 33, 60]
+        got = prefix_scores(A, y, ms)
+        for row, m in zip(got, ms):
+            acc = np.zeros(A.n)
+            for i in range(m):
+                acc = acc + y.values[i] * A.entries[i]
+            assert np.array_equal(row, acc)
+            assert np.array_equal(row, topk_correlation_decode(*self._prefix(A, y, m), 3).scores)
+
+    def test_rows_do_not_depend_on_the_other_prefixes(self):
+        _, A, y = self._instance(OneBit(1.0), m=600)
+        full = prefix_scores(A, y, range(1, 601))
+        for ms in ([5], [300, 600], [17, 255, 256, 257, 599]):
+            assert np.array_equal(prefix_scores(A, y, ms), full[np.array(ms) - 1])
+
+    def test_mle_prefixes_match_decoding_each_prefix(self):
+        _, A, y = self._instance(Linear(4.0), m=30)
+        ms = [2, 3, 10, 30]
+        got = mle_prefix_decode(A, y, 3, ms)
+        for support, m in zip(got, ms):
+            assert np.array_equal(support, mle_decode_linear(*self._prefix(A, y, m), 3).support)
+
+    def test_mle_blocks_do_not_change_the_answer(self, monkeypatch):
+        _, A, y = self._instance(Linear(4.0), m=30)
+        ms = list(range(1, 31))
+        whole = mle_prefix_decode(A, y, 3, ms)
+        monkeypatch.setattr(decode, "_MLE_BLOCK", 30)  # one candidate per block
+        assert np.array_equal(mle_prefix_decode(A, y, 3, ms), whole)
+
+    def test_mle_tie_across_blocks_is_lexicographic(self, monkeypatch):
+        # columns 0 and 1 are equal, so supports {0} and {1} tie exactly
+        A = SensingMatrix(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 5.0]]))
+        monkeypatch.setattr(decode, "_MLE_BLOCK", 2)
+        assert mle_prefix_decode(A, _linear([1.0, 2.0]), 1, [1, 2]).tolist() == [[0], [0]]
+
+    @pytest.mark.parametrize("ms", [[], [0], [3, 3], [5, 2], [61]])
+    def test_prefix_validation(self, ms):
+        _, A, y = self._instance(Linear(1.0))
+        with pytest.raises(ValueError):
+            prefix_scores(A, y, ms)
+        with pytest.raises(ValueError):
+            mle_prefix_decode(A, y, 3, ms)
 
 
 class TestQuantize:

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsense import harness
 from binsense.harness import (
@@ -20,8 +22,9 @@ from binsense.harness import (
     sweep,
     wilson_interval,
 )
-from binsense.model import Linear, Logistic, OneBit
-from binsense.numerics import RngStream
+from binsense.decode import mle_decode_linear, quantize_then_decode, topk_correlation_decode
+from binsense.model import Linear, Logistic, OneBit, gen_sensing_matrix, measure, random_signal
+from binsense.numerics import RngStream, derive_trial_stream
 
 
 class TestTrialConfig:
@@ -114,6 +117,117 @@ class TestCountSuccesses:
         config = TrialConfig(OneBit(1.0), 32, 2, 30, master_seed=5)
         assert count_successes(config, 9, workers=5000) == count_successes(config, 9)
         assert sizes == [2]
+
+
+def _counting_draws(monkeypatch):
+    """Record the rows of every matrix a trial draws; refuse to start processes."""
+    rows = []
+    draw = harness.gen_sensing_matrix
+
+    def counted(m, n, stream):
+        rows.append(m)
+        return draw(m, n, stream)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "gen_sensing_matrix", counted)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    return rows
+
+
+# configs whose success rates lie strictly between 0 and 1 on their grids
+PREFIX_CASES = {
+    "topk": (TrialConfig(OneBit(1.0), 64, 4, 40, master_seed=61), [20, 40, 60, 90, 130]),
+    "quantize": (
+        TrialConfig(Linear(1.0), 64, 4, 40, decoder="quantize", master_seed=62),
+        [20, 40, 60, 90, 130],
+    ),
+    "mle": (TrialConfig(Linear(1.0), 12, 2, 4, decoder="mle", master_seed=63), [3, 5, 8, 12]),
+}
+
+
+class TestPrefixTrials:
+    """Each trial is drawn once at the largest m and judged at every smaller m."""
+
+    @pytest.mark.parametrize("decoder", sorted(PREFIX_CASES))
+    def test_grid_independence(self, decoder):
+        config, grid = PREFIX_CASES[decoder]
+        trials = 30
+        rows = sweep(config, grid, trials).rows
+        assert any(0 < row.successes < trials for row in rows)
+        for row in rows:
+            assert sweep(config, [row.m], trials).rows == (row,)
+            cfg = replace(config, m=row.m)
+            assert row.successes == sum(run_trial(cfg, i).success for i in range(trials))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_topk_verdict_matches_the_decoders_tie_rule(self, data, n):
+        # small integer scores make exact ties between support and off-support common
+        scores = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), float)
+        k = data.draw(st.integers(1, n))
+        support = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
+        expected = np.array_equal(harness._top_k_indices(scores, k), support)
+        assert harness._topk_recovers(scores[None, :].copy(), support)[0] == expected
+
+    def test_probes_equal_count_successes(self):
+        config = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)
+        result = estimate_m95(config, 30, 10, 300)
+        assert len(result.probes) > 3
+        for probe in result.probes:
+            assert probe.successes == count_successes(replace(config, m=probe.m), 30)
+
+    def test_run_trial_at_many_m(self):
+        config, grid = PREFIX_CASES["topk"]
+        outcome = run_trial(replace(config, m=grid[-1]), 5, grid)
+        assert len(outcome.successes) == len(grid)
+        for m, success in zip(grid, outcome.successes):
+            assert run_trial(replace(config, m=m), 5).success == success
+        with pytest.raises(ValueError):
+            run_trial(replace(config, m=grid[-1]), 5, grid[:-1])
+
+    @pytest.mark.parametrize("decoder", sorted(PREFIX_CASES))
+    def test_decoded_support_is_the_decoders(self, decoder):
+        config, grid = PREFIX_CASES[decoder]
+        decode = {
+            "topk": topk_correlation_decode,
+            "quantize": quantize_then_decode,
+            "mle": mle_decode_linear,
+        }[decoder]
+        for i in range(10):
+            base = derive_trial_stream(config.master_seed, i)
+            x = random_signal(config.n, config.k, base.substream(harness.ROLE_SIGNAL))
+            A = gen_sensing_matrix(config.m, config.n, base.substream(harness.ROLE_MATRIX))
+            y = measure(A, x, config.model, base.substream(harness.ROLE_NOISE))
+            result = decode(A, y, config.k)
+            outcome = run_trial(config, i)
+            assert outcome.decoded_support == tuple(result.support)
+            assert outcome.success == (result.support_set() == frozenset(x.support))
+
+    def test_sweep_draws_once_per_trial(self, monkeypatch):
+        rows = _counting_draws(monkeypatch)
+        config, grid = PREFIX_CASES["topk"]
+        sweep(config, grid, 7, workers=1)
+        assert rows == [max(grid)] * 7
+
+    def test_m95_draws_once_per_trial(self, monkeypatch):
+        rows = _counting_draws(monkeypatch)
+        config = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)
+        result = estimate_m95(config, 9, 10, 300, workers=1)
+        assert len(result.probes) > 1
+        assert rows == [300] * 9
+
+    def test_matrix_too_large_refused_before_any_trial(self, monkeypatch):
+        rows = _counting_draws(monkeypatch)
+        config = TrialConfig(OneBit(1.0), 10**9, 1, 10**6)
+        with pytest.raises(ValueError, match="memory"):
+            sweep(config, [10, 10**6], 4, workers=2)
+        with pytest.raises(ValueError, match="memory"):
+            estimate_m95(config, 4, 1, 10**6, workers=2)
+        with pytest.raises(ValueError, match="memory"):
+            count_successes(config, 4, workers=2)
+        assert rows == []
 
 
 class TestWilsonInterval:

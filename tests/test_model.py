@@ -174,6 +174,38 @@ class TestMeasure:
         ybit = measure(A, x, OneBit(sigma2), RngStream(seed, 2))
         assert np.array_equal(sign_pm1(ylin.values), ybit.values)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        m=st.integers(1, 40),
+        extra=st.integers(0, 40),
+        n=st.integers(1, 30),
+    )
+    def test_matrix_prefix_property(self, seed, m, extra, n):
+        # the matrix at m rows is the first m rows of the matrix at any larger m
+        small = gen_sensing_matrix(m, n, RngStream(seed, 1))
+        large = gen_sensing_matrix(m + extra, n, RngStream(seed, 1))
+        assert np.array_equal(small.entries, large.entries[:m])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        m=st.integers(1, 40),
+        extra=st.integers(0, 40),
+        n=st.integers(1, 30),
+        k_frac=st.floats(0.0, 1.0),
+        sigma2=st.floats(0.0, 100.0),
+        beta=st.floats(0.01, 100.0),
+    )
+    def test_measure_prefix_property(self, seed, m, extra, n, k_frac, sigma2, beta):
+        # measuring the m-row prefix gives the first m values of the full measurement
+        x = random_signal(n, max(1, round(k_frac * n)), RngStream(seed, 0))
+        large = gen_sensing_matrix(m + extra, n, RngStream(seed, 1))
+        prefix = SensingMatrix(large.entries[:m])
+        for model in (Linear(sigma2), OneBit(sigma2), Logistic(beta)):
+            full = measure(large, x, model, RngStream(seed, 2)).values
+            assert np.array_equal(measure(prefix, x, model, RngStream(seed, 2)).values, full[:m])
+
     def test_dimension_mismatch(self):
         A = gen_sensing_matrix(5, 7, RngStream(0))
         with pytest.raises(ValueError):

@@ -9,10 +9,13 @@ import math
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from binsense.numerics import (
     RngStream,
+    _open_interval,
     binary_entropy,
     derive_trial_stream,
     sample_gaussian,
@@ -138,6 +141,29 @@ class TestSampleGaussian:
     def test_exact_length_any_parity(self):
         assert sample_gaussian(RngStream(0), 7).shape == (7,)
         assert sample_gaussian(RngStream(0), 8).shape == (8,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.integers(0, 2**64 - 1),
+        a=st.integers(1, 5000),
+        extra=st.integers(0, 5000),
+    )
+    def test_prefix_nesting_property(self, seed, stream_id, a, extra):
+        # sample i depends on uniform i alone: a short draw is a prefix of a long one
+        stream = RngStream(seed, stream_id)
+        assert np.array_equal(sample_gaussian(stream, a), sample_gaussian(stream, a + extra)[:a])
+
+    def test_uniform_map_endpoints(self):
+        # the smallest and largest 53-bit uniforms land strictly inside (0, 1),
+        # symmetric about 1/2, so their samples are finite and of opposite sign
+        u = _open_interval(np.array([0.0, 1.0 - 2.0**-53]))
+        assert u[0] == 2.0**-53
+        assert u[1] == 1.0 - 2.0**-53
+        g = ndtri(u)
+        assert np.all(np.isfinite(g))
+        assert g[0] < 0.0 < g[1]
+        assert g[0] == -g[1]
 
 
 class TestSampleIndices:
