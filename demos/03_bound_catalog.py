@@ -8,7 +8,16 @@ m1 is the exact maximum over integer shell sizes l of
 m2 evaluates the same objective at the closed-form point l = k(1 - k/n).
 The two stay within half a percent of each other across the whole grid,
 which is what justifies using the closed-form point as a mental model.
+
+The curve is written as bound_curve.csv and bound_curve.svg into the
+directory given as the first argument, else into a new temporary one:
+
+    python demos/03_bound_catalog.py [OUT_DIR]
 """
+
+import sys
+import tempfile
+from pathlib import Path
 
 from binsense import BoundQuery, Linear, Logistic, OneBit, bound_report
 from binsense.bounds import curve_to_csv, mle_bound_curve
@@ -30,10 +39,12 @@ for row in rows[:5]:
 worst_gap = max((row.m1 - row.m2) / row.m1 for row in rows)
 print(f"largest relative gap between the curves: {worst_gap:.4%}")
 
-with open("bound_curve.csv", "w", newline="") as fh:
+out_dir = Path(sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="binsense-"))
+out_dir.mkdir(parents=True, exist_ok=True)
+with open(out_dir / "bound_curve.csv", "w", newline="") as fh:
     fh.write(curve_to_csv(rows))
 ks = [row.k for row in rows]
-with open("bound_curve.svg", "w", newline="") as fh:
+with open(out_dir / "bound_curve.svg", "w", newline="") as fh:
     fh.write(
         line_chart(
             [("m1", ks, [row.m1 for row in rows]), ("m2", ks, [row.m2 for row in rows])],
@@ -42,4 +53,4 @@ with open("bound_curve.svg", "w", newline="") as fh:
             y_label="measurements",
         )
     )
-print("wrote bound_curve.csv and bound_curve.svg")
+print(f"wrote bound_curve.csv and bound_curve.svg to {out_dir}")

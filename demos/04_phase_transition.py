@@ -6,7 +6,16 @@ noise slides the transition right in proportion to (k + sigma2), which
 is the scaling the theory predicts.  Desk-scale settings keep this demo
 around a minute; push n, the trial count, or the grid for smoother
 curves.
+
+The chart is written as phase_transition.svg into the directory given as
+the first argument, else into a new temporary one:
+
+    python demos/04_phase_transition.py [OUT_DIR]
 """
+
+import sys
+import tempfile
+from pathlib import Path
 
 from binsense import OneBit, TrialConfig, estimate_m95, sweep
 from binsense.svgplot import line_chart
@@ -25,7 +34,9 @@ for sigma2 in (0.0, 4.0):
         bar = "#" * round(40 * row.success_rate)
         print(f"  m={row.m:4d}  {row.success_rate:5.3f}  [{row.ci_low:.3f}, {row.ci_high:.3f}]  {bar}")
 
-with open("phase_transition.svg", "w", newline="") as fh:
+out_dir = Path(sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="binsense-"))
+out_dir.mkdir(parents=True, exist_ok=True)
+with open(out_dir / "phase_transition.svg", "w", newline="") as fh:
     fh.write(
         line_chart(
             series,
@@ -34,7 +45,7 @@ with open("phase_transition.svg", "w", newline="") as fh:
             y_label="exact-recovery rate",
         )
     )
-print("wrote phase_transition.svg")
+print(f"wrote phase_transition.svg to {out_dir}")
 
 # the empirical 95% threshold, found by bisection over the same trials
 for sigma2, hi in ((0.0, 400), (4.0, 700)):

@@ -12,10 +12,20 @@ function of those rows alone, so one pass over a tall matrix yields the
 exact statistic of every row prefix (:func:`prefix_scores`,
 :func:`mle_prefix_decode`), equal bit for bit to decoding the prefix on
 its own.
+
+Scores are summed by one kernel, :func:`_scan_scores`, that takes the
+rows a cache-sized block at a time from a caller's ``draw`` function: the
+block sits under the carried score vector and numpy adds its rows in
+order, whole rows per call.  The top-k decoder passes slices of a full
+matrix; the Monte Carlo harness draws each block as it goes, so a trial's
+matrix is never held whole.  The MLE oracle enumerates its candidates
+from a cached lexicographic table of supports.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -93,8 +103,49 @@ def _check_prefixes(ms, m: int) -> np.ndarray:
     return rows
 
 
-# rows of y_i * A_i formed at once by prefix_scores
-_ROW_BLOCK = 256
+# rows added per kernel call: 64 rows of 512 columns are 256 kB, so a
+# block stays in cache while it is drawn, measured and summed
+_BLOCK_ROWS = 64
+
+
+def _scan_scores(draw, n: int, marks: list):
+    """Running correlation scores sum_i y_i A_i over row blocks, read at the marks.
+
+    ``draw(start, stop)`` returns rows [start, stop) as (A_rows, y_rows);
+    it is called once for each consecutive block of _BLOCK_ROWS rows up to
+    marks[-1], the ascending list of prefix lengths to read.  Each block's
+    terms y_i A_i lie in a buffer under the carried scores (row 0), and the
+    rows are added in row order: ``np.add.reduce`` over axis 0 when the
+    block holds no mark, ``np.add.accumulate`` when it does.  (A single
+    column is always accumulated: numpy would reduce it pairwise.)  Yields,
+    for each block that holds marks, the scores at those marks as a fresh
+    (marks in block, n) array.
+    """
+    buf = np.empty((_BLOCK_ROWS + 1, n))
+    sums = np.empty_like(buf)
+    carry = np.zeros(n)
+    j = 0
+    for start in range(0, marks[-1], _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, marks[-1])
+        A_rows, y_rows = draw(start, stop)
+        block = buf[: stop - start + 1]
+        block[0] = carry
+        np.multiply(A_rows, y_rows[:, None], out=block[1:])
+        end = bisect.bisect_right(marks, stop, j)
+        if end == j and n > 1:
+            np.add.reduce(block, axis=0, out=carry)
+            continue
+        running = np.add.accumulate(block, axis=0, out=sums[: len(block)])
+        carry[:] = running[-1]
+        if end > j:
+            yield running[np.array(marks[j:end]) - start]
+            j = end
+
+
+def _scan_footprint(n: int) -> int:
+    """Bytes :func:`_scan_scores` holds at once for n columns: a drawn block,
+    its buffer, the accumulated sums and the scores read at marks."""
+    return 4 * (_BLOCK_ROWS + 1) * n * 8
 
 
 def prefix_scores(A: SensingMatrix, y: MeasurementVector, ms) -> np.ndarray:
@@ -107,18 +158,8 @@ def prefix_scores(A: SensingMatrix, y: MeasurementVector, ms) -> np.ndarray:
     if y.m != A.m:
         raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
     marks = _check_prefixes(ms, A.m).tolist()
-    out = np.empty((len(marks), A.n))
-    acc = np.zeros(A.n)
-    j = 0
-    for start in range(0, marks[-1], _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, marks[-1])
-        terms = A.entries[start:stop] * y.values[start:stop, None]
-        for count, term in enumerate(terms, start + 1):
-            acc += term
-            if count == marks[j]:
-                out[j] = acc
-                j += 1
-    return out
+    blocks = _scan_scores(lambda a, b: (A.entries[a:b], y.values[a:b]), A.n, marks)
+    return np.concatenate(list(blocks))
 
 
 def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> DecodeResult:
@@ -136,6 +177,27 @@ def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> D
 
 # squared residuals held at once by the MLE oracle (candidates x rows)
 _MLE_BLOCK = 1 << 13
+
+
+def _mle_footprint(m: int, n: int) -> int:
+    """Bytes :func:`mle_prefix_decode` holds for an m x n matrix: the matrix,
+    its column-major copy and a block of squared residuals."""
+    return (2 * m * n + _MLE_BLOCK) * 8
+
+
+@functools.lru_cache(maxsize=1)
+def _supports(n: int, k: int) -> np.ndarray:
+    """All C(n, k) supports of range(n) in lexicographic order, one per row.
+
+    Read-only, and kept for the last (n, k) asked, so the trials of a
+    sweep enumerate their candidates once.  Indices take the smallest
+    unsigned type that holds them: one byte each up to n = 256.
+    """
+    count = math.comb(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    table = np.fromiter(flat, dtype=np.min_scalar_type(n - 1), count=count * k).reshape(count, k)
+    table.flags.writeable = False
+    return table
 
 
 def mle_prefix_decode(
@@ -171,9 +233,10 @@ def mle_prefix_decode(
     yv = y.values[: rows[-1]]
     best_ss = np.full(rows.size, math.inf)
     best = np.zeros((rows.size, k), dtype=np.int64)
-    combos = itertools.combinations(range(A.n), k)
+    supports = _supports(A.n, k)
     per_block = max(1, _MLE_BLOCK // int(rows[-1]))
-    while (block := np.array(list(itertools.islice(combos, per_block)), dtype=np.int64)).size:
+    for first in range(0, len(supports), per_block):
+        block = supports[first : first + per_block]
         fit = cols[block[:, 0]]
         for p in range(1, k):
             fit += cols[block[:, p]]

@@ -12,12 +12,17 @@ results never depend on execution order.
 Draws are prefix-stable (see :mod:`binsense.numerics`): the trial at m
 rows is the first m rows of the trial at any larger m.  A sweep or a
 threshold search therefore draws each trial once, at the largest m it
-needs, and judges it at every smaller m from running sums over the rows
-(:func:`~binsense.decode.prefix_scores`,
-:func:`~binsense.decode.mle_prefix_decode`).  Each verdict is bit for bit
-the one a trial drawn at that m alone gets, so a count never depends on
-the grid, the bracket, or which other m were asked for.  One process pool
-serves a whole call; each worker runs a contiguous block of trials.
+needs, and judges it at every smaller m from running sums over the rows.
+Top-k and quantize trials are streamed: one live generator per role
+draws the matrix and noise a row block at a time, each block is measured,
+added into the running scores and dropped, and every m that falls in the
+block is judged there (:func:`~binsense.decode._scan_scores`), so memory
+per trial depends on n alone.  MLE trials draw the whole matrix
+(:func:`~binsense.decode.mle_prefix_decode`).  Each verdict is bit for
+bit the one a trial drawn at that m alone gets, so a count never depends
+on the grid, the bracket, the block size, or which other m were asked
+for.  One process pool serves a whole call; each worker runs a
+contiguous block of trials.
 """
 
 from __future__ import annotations
@@ -31,14 +36,19 @@ import numpy as np
 from scipy.special import ndtri
 
 from .decode import (
+    _check_prefixes,
+    _mle_footprint,
+    _scan_footprint,
+    _scan_scores,
     _top_k_indices,
     mle_decode_linear,
     mle_prefix_decode,
-    prefix_scores,
     quantize,
-    quantize_then_decode,
-    topk_correlation_decode,
 )
+
+# Imported, though trials no longer call them, so that tracing tools can
+# patch every decoder where the harness resolves it (see bench/spans.py).
+from .decode import quantize_then_decode, topk_correlation_decode  # noqa: F401
 from .model import (
     Model,
     OneBit,
@@ -134,28 +144,19 @@ class TrialOutcome:
         return self.successes[-1]
 
 
-def _decode(config: TrialConfig, A, y):
-    if config.decoder == "topk":
-        return topk_correlation_decode(A, y, config.k)
-    if config.decoder == "mle":
-        return mle_decode_linear(A, y, config.k, config.mle_budget)
-    return quantize_then_decode(A, y, config.k)
-
-
 def _topk_recovers(scores: np.ndarray, support: np.ndarray) -> np.ndarray:
     """For each row of ``scores``, whether its k largest entries are ``support``.
 
     They are when the smallest support score exceeds every other score;
-    on an exact tie the decoder's own tie rule decides.  Overwrites
-    ``scores``.
+    on an exact tie the decoder's own tie rule decides.
     """
     inside = scores[:, support]
     low = inside.min(axis=1)
     scores[:, support] = -np.inf
     high = scores.max(axis=1)
+    scores[:, support] = inside
     ok = low > high
     for j in np.flatnonzero(low == high):
-        scores[j, support] = inside[j]
         ok[j] = np.array_equal(_top_k_indices(scores[j], support.size), support)
     return ok
 
@@ -165,31 +166,42 @@ def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
     decode the first m rows for every m in ``ms`` and compare.
 
     ``ms`` is strictly ascending and ends at config.m; the default is
-    just config.m, which runs the decoder itself.  Several m are judged
-    through the decoders' prefix forms, which agree with it bit for bit
-    at every m.
+    just config.m.  Top-k and quantize trials are drawn, measured and
+    scored a row block at a time (:func:`~binsense.decode._scan_scores`)
+    and judged at every m as its block passes, so neither the matrix nor
+    a table of scores is ever held whole.  MLE trials draw the whole
+    matrix.  Every verdict agrees bit for bit with running the decoder on
+    the first m rows.
     """
     ms = (config.m,) if ms is None else tuple(int(m) for m in ms)
     if not ms or ms[-1] != config.m:
         raise ValueError(f"ms must end at config.m={config.m}, got {ms}")
+    _check_prefixes(ms, config.m)
     base = derive_trial_stream(config.master_seed, trial_index)
     x = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL))
-    A = gen_sensing_matrix(config.m, config.n, base.substream(ROLE_MATRIX))
-    y = measure(A, x, config.model, base.substream(ROLE_NOISE))
-    if len(ms) == 1:
-        result = _decode(config, A, y)
-        success = result.support_set() == frozenset(x.support)
-        return TrialOutcome((success,), tuple(int(i) for i in result.support))
     truth = x.support_array
+    matrix, noise = base.substream(ROLE_MATRIX), base.substream(ROLE_NOISE)
     if config.decoder == "mle":
-        supports = mle_prefix_decode(A, y, config.k, ms, config.mle_budget)
+        A = gen_sensing_matrix(config.m, config.n, matrix)
+        y = measure(A, x, config.model, noise)
+        if len(ms) == 1:
+            supports = mle_decode_linear(A, y, config.k, config.mle_budget).support[None]
+        else:
+            supports = mle_prefix_decode(A, y, config.k, ms, config.mle_budget)
         successes = np.all(supports == truth, axis=1)
-        decoded = supports[-1]
-    else:
-        scores = prefix_scores(A, quantize(y) if config.decoder == "quantize" else y, ms)
-        decoded = _top_k_indices(scores[-1], config.k)
-        successes = _topk_recovers(scores, truth)
-    return TrialOutcome(tuple(bool(s) for s in successes), tuple(int(i) for i in decoded))
+        return TrialOutcome(tuple(bool(s) for s in successes), tuple(int(i) for i in supports[-1]))
+    matrix_source, noise_source = matrix.generator(), noise.generator()
+
+    def rows(start: int, stop: int):
+        A = gen_sensing_matrix(stop - start, config.n, matrix, source=matrix_source)
+        y = measure(A, x, config.model, noise, source=noise_source)
+        return A.entries, (quantize(y) if config.decoder == "quantize" else y).values
+
+    successes = []
+    for scores in _scan_scores(rows, config.n, list(ms)):
+        successes += _topk_recovers(scores, truth).tolist()
+    decoded = _top_k_indices(scores[-1], config.k)
+    return TrialOutcome(tuple(successes), tuple(int(i) for i in decoded))
 
 
 def _block_counts(config: TrialConfig, ms: tuple, start: int, stop: int) -> list:
@@ -205,14 +217,22 @@ def _worker_count(workers: int, trials: int) -> int:
     return max(1, min(workers, trials, len(os.sched_getaffinity(0))))
 
 
-def _check_memory(m: int, n: int) -> None:
-    """Refuse an m x n float64 matrix larger than this machine's memory."""
-    need = m * n * 8
+def _check_memory(config: TrialConfig) -> None:
+    """Refuse a trial whose arrays would not fit in this machine's memory.
+
+    An MLE trial holds its whole m x n matrix; a top-k or quantize trial
+    holds only the row blocks of its score scan, whatever its m.
+    """
+    m, n = config.m, config.n
+    if config.decoder == "mle":
+        need, what, fix = _mle_footprint(m, n), f"a {m} x {n} sensing matrix", "m or n"
+    else:
+        need, what, fix = _scan_footprint(n), f"a trial scanned in row blocks of {n} columns", "n"
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValueError(
-            f"a {m} x {n} sensing matrix needs {need / 2**30:.3g} GiB, more than the "
-            f"{have / 2**30:.3g} GiB of memory on this machine; reduce m or n"
+            f"{what} needs {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of memory on this machine; reduce {fix}"
         )
 
 
@@ -222,8 +242,8 @@ def _success_counts(config: TrialConfig, ms: tuple, trials: int, workers: int) -
     worker count."""
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    _check_memory(ms[-1], config.n)
     config = replace(config, m=ms[-1])
+    _check_memory(config)
     workers = _worker_count(workers, trials)
     if workers == 1:
         return _block_counts(config, ms, 0, trials)

@@ -190,15 +190,18 @@ class SensingMatrix:
         return self.entries.shape[1]
 
 
-def gen_sensing_matrix(m: int, n: int, stream: RngStream) -> SensingMatrix:
+def gen_sensing_matrix(m: int, n: int, stream: RngStream, *, source=None) -> SensingMatrix:
     """m x n matrix of i.i.d. N(0, 1) entries, row-major draw order.
 
     For any k-sparse binary x this design satisfies E[(A_i^T x)^2] = k,
-    the power constraint the bounds assume.
+    the power constraint the bounds assume.  With ``source`` (a live
+    generator of ``stream``) the rows continue the draw where the last
+    one from ``source`` stopped, so consecutive row blocks are slices of
+    one matrix.
     """
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
         raise ValueError(f"m and n must be positive integers, got m={m!r}, n={n!r}")
-    entries = sample_gaussian(stream, m * n).reshape(m, n)
+    entries = sample_gaussian(stream, m * n, source=source).reshape(m, n)
     return SensingMatrix(entries, stream)
 
 
@@ -223,24 +226,30 @@ class MeasurementVector:
 
 
 def measure(
-    A: SensingMatrix, x: SparseSignal, model: Model, stream: RngStream
+    A: SensingMatrix, x: SparseSignal, model: Model, stream: RngStream, *, source=None
 ) -> MeasurementVector:
     """Observe x through A under the given channel.
 
     The stream feeds only the channel noise (Gaussian z for linear and
     one-bit, the Bernoulli draws for logistic), so linear and one-bit
-    measurements taken with the same stream share z exactly.
+    measurements taken with the same stream share z exactly.  With
+    ``source`` (a live generator of ``stream``) the noise continues where
+    the last draw from ``source`` stopped, so measuring a matrix a row
+    block at a time gives the slices of measuring it whole.
+
+    Row i depends on row i of A alone: t_i adds the support columns one
+    at a time in index order, whatever the number of rows.
     """
     if A.n != x.n:
         raise ValueError(f"dimension mismatch: matrix has n={A.n}, signal has n={x.n}")
     if x.k > 0:
-        t = A.entries[:, x.support_array].sum(axis=1)
+        t = np.add.accumulate(A.entries[:, x.support_array], axis=1)[:, -1]
     else:
         t = np.zeros(A.m, dtype=np.float64)
 
     if isinstance(model, _GaussianNoise):
         if model.sigma2 > 0.0:
-            z = math.sqrt(model.sigma2) * sample_gaussian(stream, A.m)
+            z = math.sqrt(model.sigma2) * sample_gaussian(stream, A.m, source=source)
             t = t + z
         return MeasurementVector(model, sign_pm1(t) if model.binary else t)
 
@@ -248,7 +257,7 @@ def measure(
         if math.isinf(model.beta):
             return MeasurementVector(model, sign_pm1(t))
         p = expit(model.beta * t)
-        u = stream.generator().random(A.m)
+        u = (stream.generator() if source is None else source).random(A.m)
         return MeasurementVector(model, np.where(u < p, 1.0, -1.0))
 
     raise TypeError(f"not a measurement model: {model!r}")

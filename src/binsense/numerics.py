@@ -17,7 +17,11 @@ pinned down here.
 Every draw is prefix-stable: sample i depends on uniform i alone, so the
 first c samples of a stream are the same whether c or more are drawn.
 A matrix drawn row by row at m rows is therefore the first m rows of the
-matrix at any larger m, which lets one draw serve every smaller m.
+matrix at any larger m, which lets one draw serve every smaller m.  A
+draw may also continue a stream where an earlier one stopped: passed the
+same live generator as ``source``, consecutive draws of a and b samples
+are the a + b samples of one draw, which lets a trial be drawn a row
+block at a time without ever holding it whole.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ class RngStream:
     Both fields are unsigned 64-bit integers.  ``generator()`` returns a
     fresh numpy Generator each call, so a stream always replays from the
     start; consumers that need several independent sources derive them
-    with distinct ids instead of sharing generator state.
+    with distinct ids instead of sharing generator state.  A consumer that
+    draws one stream in pieces keeps one generator and passes it along as
+    the draws' ``source``.
     """
 
     master_seed: int
@@ -138,16 +144,18 @@ def _open_interval(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def sample_gaussian(stream: RngStream, count: int) -> np.ndarray:
+def sample_gaussian(stream: RngStream, count: int, *, source=None) -> np.ndarray:
     """``count`` i.i.d. N(0, 1) variates, fully determined by the stream.
 
     Inverse CDF: sample i is ``ndtri`` of the stream's uniform i, moved
     into the open interval (0, 1).  Sample i depends on uniform i alone,
-    so a shorter draw is always a prefix of a longer one.
+    so a shorter draw is always a prefix of a longer one.  The draw starts
+    at the stream's first uniform, or, given ``source`` (a generator of
+    this stream), where the previous draw from ``source`` stopped.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    u = stream.generator().random(count)
+    u = (stream.generator() if source is None else source).random(count)
     return ndtri(_open_interval(u), out=u)
 
 

@@ -189,6 +189,40 @@ class TestPrefixDecoding:
         for ms in ([5], [300, 600], [17, 255, 256, 257, 599]):
             assert np.array_equal(prefix_scores(A, y, ms), full[np.array(ms) - 1])
 
+    @pytest.mark.parametrize("n", [2, 3, 512])
+    def test_numpy_reduces_axis_0_in_row_order(self, n):
+        # the score kernel relies on np.add.reduce(axis=0) and np.add.accumulate
+        # adding rows one at a time in order; summed pairwise (or in any other
+        # order) the tiny rows below would add up to more than 1
+        rows = np.full((65, n), 2.0**-53)
+        rows[0] = 1.0
+        expected = np.zeros(n)
+        for row in rows:
+            expected = expected + row
+        assert np.all(expected == 1.0)
+        assert np.array_equal(np.add.reduce(rows, axis=0), expected)
+        assert np.array_equal(np.add.accumulate(rows, axis=0)[-1], expected)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 64])
+    def test_scores_do_not_depend_on_the_block_size(self, monkeypatch, block_rows):
+        _, A, y = self._instance(OneBit(1.0), m=200)
+        ms = [1, 2, 3, 62, 63, 64, 65, 66, 127, 128, 129, 130, 199, 200]
+        expected = np.zeros((len(ms), A.n))
+        acc = np.zeros(A.n)
+        for i in range(200):
+            acc = acc + y.values[i] * A.entries[i]
+            if i + 1 in ms:
+                expected[ms.index(i + 1)] = acc
+        monkeypatch.setattr(decode, "_BLOCK_ROWS", block_rows)
+        assert np.array_equal(prefix_scores(A, y, ms), expected)
+        assert np.array_equal(prefix_scores(A, y, [200])[0], expected[-1])
+
+    def test_single_column_scores_add_in_row_order(self):
+        # one column: np.add.reduce would sum it pairwise, so the kernel accumulates
+        A = SensingMatrix(np.array([[1.0]] + [[2.0**-53]] * 64))
+        y = MeasurementVector(OneBit(0.0), np.ones(65))
+        assert topk_correlation_decode(A, y, 1).scores.tolist() == [1.0]
+
     def test_mle_prefixes_match_decoding_each_prefix(self):
         _, A, y = self._instance(Linear(4.0), m=30)
         ms = [2, 3, 10, 30]
@@ -202,6 +236,12 @@ class TestPrefixDecoding:
         whole = mle_prefix_decode(A, y, 3, ms)
         monkeypatch.setattr(decode, "_MLE_BLOCK", 30)  # one candidate per block
         assert np.array_equal(mle_prefix_decode(A, y, 3, ms), whole)
+
+    def test_support_table_is_lexicographic_read_only_and_kept(self):
+        table = decode._supports(7, 3)
+        assert table.tolist() == [list(c) for c in itertools.combinations(range(7), 3)]
+        assert not table.flags.writeable
+        assert decode._supports(7, 3) is table
 
     def test_mle_tie_across_blocks_is_lexicographic(self, monkeypatch):
         # columns 0 and 1 are equal, so supports {0} and {1} tie exactly

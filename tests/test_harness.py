@@ -1,16 +1,21 @@
 """Monte Carlo engine: trial semantics, sweeps, threshold search,
 moment checks, and the Wilson interval."""
 
+import ast
+import itertools
 import math
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsense import harness
+from binsense import decode, harness
+from binsense import model as model_module
 from binsense.harness import (
     BracketError,
     TrialConfig,
@@ -119,20 +124,39 @@ class TestCountSuccesses:
         assert sizes == [2]
 
 
-def _counting_draws(monkeypatch):
-    """Record the rows of every matrix a trial draws; refuse to start processes."""
-    rows = []
-    draw = harness.gen_sensing_matrix
-
-    def counted(m, n, stream):
-        rows.append(m)
-        return draw(m, n, stream)
-
+def _no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(harness, "gen_sensing_matrix", counted)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+
+
+def _counting_draws(monkeypatch):
+    """Record every matrix block drawn, as (stream, rows); refuse to start processes."""
+    draws = []
+    draw = harness.gen_sensing_matrix
+
+    def counted(m, n, stream, **kwargs):
+        A = draw(m, n, stream, **kwargs)
+        draws.append((stream, A.entries))
+        return A
+
+    monkeypatch.setattr(harness, "gen_sensing_matrix", counted)
+    _no_pool(monkeypatch)
+    return draws
+
+
+def _rows_per_trial(draws) -> list:
+    """Rows each trial drew, in trial order, after checking that a trial's
+    blocks come one after another and are consecutive slices of one draw."""
+    streams = [stream for stream, _ in draws]
+    trials = [stream for stream, _ in itertools.groupby(streams)]
+    assert len(trials) == len(set(trials)), "blocks of different trials interleave"
+    rows = []
+    for stream in trials:
+        whole = np.concatenate([entries for s, entries in draws if s == stream])
+        assert np.array_equal(whole, gen_sensing_matrix(len(whole), whole.shape[1], stream).entries)
+        rows.append(len(whole))
     return rows
 
 
@@ -206,17 +230,17 @@ class TestPrefixTrials:
             assert outcome.success == (result.support_set() == frozenset(x.support))
 
     def test_sweep_draws_once_per_trial(self, monkeypatch):
-        rows = _counting_draws(monkeypatch)
+        draws = _counting_draws(monkeypatch)
         config, grid = PREFIX_CASES["topk"]
         sweep(config, grid, 7, workers=1)
-        assert rows == [max(grid)] * 7
+        assert _rows_per_trial(draws) == [max(grid)] * 7
 
     def test_m95_draws_once_per_trial(self, monkeypatch):
-        rows = _counting_draws(monkeypatch)
+        draws = _counting_draws(monkeypatch)
         config = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)
         result = estimate_m95(config, 9, 10, 300, workers=1)
         assert len(result.probes) > 1
-        assert rows == [300] * 9
+        assert _rows_per_trial(draws) == [300] * 9
 
     def test_matrix_too_large_refused_before_any_trial(self, monkeypatch):
         rows = _counting_draws(monkeypatch)
@@ -228,6 +252,98 @@ class TestPrefixTrials:
         with pytest.raises(ValueError, match="memory"):
             count_successes(config, 4, workers=2)
         assert rows == []
+
+
+# every channel and top-k decoder a trial can stream
+STREAMED_CASES = {
+    "linear-topk": (Linear(1.0), "topk"),
+    "linear-quantize": (Linear(1.0), "quantize"),
+    "onebit-topk": (OneBit(1.0), "topk"),
+    "logistic-topk": (Logistic(2.0), "topk"),
+    "logistic-inf-topk": (Logistic(math.inf), "topk"),
+}
+
+
+class TestStreamedTrials:
+    """Top-k and quantize trials are drawn, measured and judged a row block at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        case=st.sampled_from(sorted(STREAMED_CASES)),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 10**6),
+    )
+    def test_verdicts_equal_the_decoder_on_each_prefix(self, data, case, n, seed, index):
+        model, decoder = STREAMED_CASES[case]
+        k = data.draw(st.integers(1, min(3, n)))
+        ms = sorted(data.draw(st.sets(st.integers(1, 150), min_size=1, max_size=12)))
+        outcome = run_trial(TrialConfig(model, n, k, ms[-1], decoder, seed), index, ms)
+        decode_fn = quantize_then_decode if decoder == "quantize" else topk_correlation_decode
+        base = derive_trial_stream(seed, index)
+        x = random_signal(n, k, base.substream(harness.ROLE_SIGNAL))
+        for m, success in zip(ms, outcome.successes):
+            A = gen_sensing_matrix(m, n, base.substream(harness.ROLE_MATRIX))
+            result = decode_fn(A, measure(A, x, model, base.substream(harness.ROLE_NOISE)), k)
+            assert success == (result.support_set() == frozenset(x.support))
+        assert outcome.decoded_support == tuple(result.support)
+
+    @pytest.mark.parametrize("case", sorted(STREAMED_CASES))
+    def test_verdicts_do_not_depend_on_the_block_size(self, monkeypatch, case):
+        model, decoder = STREAMED_CASES[case]
+        config = TrialConfig(model, 48, 3, 200, decoder, master_seed=66)
+        dense = list(range(1, 201))
+        # sparse marks, marks on either side of the 64- and 128-row block edges
+        grids = ([1, 100, 200], [63, 64, 65, 127, 128, 129, 200], [130, 200], [200])
+        default = decode._BLOCK_ROWS
+        seen = []
+        for block_rows in (1, 3, default):
+            monkeypatch.setattr(decode, "_BLOCK_ROWS", block_rows)
+            outcomes = [run_trial(config, i, dense) for i in range(6)]
+            for i, outcome in enumerate(outcomes):
+                for ms in grids:
+                    got = run_trial(config, i, ms)
+                    assert got.successes == tuple(outcome.successes[m - 1] for m in ms)
+                    assert got.decoded_support == outcome.decoded_support
+            seen.append(outcomes)
+        assert seen[0] == seen[1] == seen[2]
+        assert any(0 < sum(o.successes) < len(dense) for o in seen[0])
+
+    def test_trial_fits_where_its_matrix_would_not(self, monkeypatch):
+        # with 8 MiB of memory a 2000 x 1024 matrix (16 MiB) does not fit, but
+        # its row blocks do: the sweep runs without holding it, and an MLE
+        # trial, which does hold its matrix, is refused
+        _no_pool(monkeypatch)
+        real, fake = harness.os.sysconf, {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: fake.get(name) or real(name))
+        config = TrialConfig(OneBit(1.0), 1024, 4, 2000, master_seed=67)
+        assert config.m * config.n * 8 > 8 * 2**20
+        tracemalloc.start()
+        try:
+            result = sweep(config, [500, 2000], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.trials for row in result.rows] == [2, 2]
+        assert peak < 4 * 2**20
+        with pytest.raises(ValueError, match="memory"):
+            sweep(replace(config, model=Linear(1.0), decoder="mle"), [2000], 2)
+
+
+def test_every_traced_target_resolves():
+    # bench/spans.py patches these names on binsense.harness and binsense.model;
+    # if a refactor drops one, a traced benchmark run fails on the missing attribute
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    modules = {"harness": harness, "model": model_module}
+    targets = [
+        (node.args[0].id, node.args[1].value)
+        for node in ast.walk(ast.parse(spans.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target"
+    ]
+    assert len(targets) >= 9
+    for module, attr in targets:
+        assert hasattr(modules[module], attr), f"{module}.{attr} is gone"
 
 
 class TestWilsonInterval:

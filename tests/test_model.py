@@ -206,6 +206,40 @@ class TestMeasure:
             full = measure(large, x, model, RngStream(seed, 2)).values
             assert np.array_equal(measure(prefix, x, model, RngStream(seed, 2)).values, full[:m])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        blocks=st.lists(st.integers(1, 20), min_size=1, max_size=8),
+        n=st.integers(1, 30),
+        k_frac=st.floats(0.0, 1.0),
+        sigma2=st.floats(0.0, 100.0),
+        beta=st.floats(0.01, 100.0),
+    )
+    def test_block_continued_draws_are_slices_of_the_full_draw(
+        self, seed, blocks, n, k_frac, sigma2, beta
+    ):
+        # a trial drawn and measured a row block at a time, each role from one
+        # live generator, is the slices of the trial drawn whole; blocks of a
+        # single row included, so t must not depend on the number of rows
+        x = random_signal(n, max(1, round(k_frac * n)), RngStream(seed, 0))
+        rows, noise = RngStream(seed, 1), RngStream(seed, 2)
+        full = gen_sensing_matrix(sum(blocks), n, rows)
+        for model in (Linear(sigma2), OneBit(sigma2), Logistic(beta), Logistic(math.inf)):
+            row_source, noise_source = rows.generator(), noise.generator()
+            parts = []
+            for size in blocks:
+                A = gen_sensing_matrix(size, n, rows, source=row_source)
+                parts.append((A.entries, measure(A, x, model, noise, source=noise_source).values))
+            assert np.array_equal(np.concatenate([a for a, _ in parts]), full.entries)
+            whole = measure(full, x, model, noise).values
+            assert np.array_equal(np.concatenate([y for _, y in parts]), whole)
+
+    def test_projection_adds_support_columns_in_index_order(self):
+        # one row and many support columns: numpy's row sum would go pairwise here
+        A = SensingMatrix(np.array([[1.0] + [2.0**-53] * 16]))
+        y = measure(A, SparseSignal(17, tuple(range(17))), Linear(0.0), RngStream(0))
+        assert y.values[0] == 1.0
+
     def test_dimension_mismatch(self):
         A = gen_sensing_matrix(5, 7, RngStream(0))
         with pytest.raises(ValueError):

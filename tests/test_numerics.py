@@ -154,6 +154,18 @@ class TestSampleGaussian:
         stream = RngStream(seed, stream_id)
         assert np.array_equal(sample_gaussian(stream, a), sample_gaussian(stream, a + extra)[:a])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+    )
+    def test_continued_draws_are_slices_of_one_draw(self, seed, sizes):
+        # draws from one live generator pick up where the last one stopped
+        stream = RngStream(seed, 3)
+        source = stream.generator()
+        pieces = [sample_gaussian(stream, size, source=source) for size in sizes]
+        assert np.array_equal(np.concatenate(pieces), sample_gaussian(stream, sum(sizes)))
+
     def test_uniform_map_endpoints(self):
         # the smallest and largest 53-bit uniforms land strictly inside (0, 1),
         # symmetric about 1/2, so their samples are finite and of opposite sign
