@@ -6,8 +6,8 @@ Library layout:
 * model    -- the linear / one-bit / logistic channels and Gaussian designs
 * decode   -- top-k correlation, exhaustive MLE, single-measurement decoder
 * bounds   -- closed-form sample-complexity catalog and the MLE bound curve
-* harness  -- Monte Carlo trials, sweeps, threshold search, moment checks
-* replay   -- binary dump format for matrices and measurements
+* harness  -- Monte Carlo trials (top-k ones from their scores' sufficient
+              statistics), sweeps, threshold search, moment checks
 * svgplot  -- dependency-free SVG line charts
 """
 
@@ -35,7 +35,9 @@ from .model import (
     link_slope,
     measure,
     model_tag,
+    observe,
     random_signal,
+    sample_projections,
     sign_pm1,
 )
 from .decode import (
@@ -47,7 +49,6 @@ from .decode import (
     decimal_row,
     mle_decode_linear,
     mle_prefix_decode,
-    prefix_scores,
     quantize,
     quantize_then_decode,
     topk_correlation_decode,
@@ -88,4 +89,3 @@ from .harness import (
     sweep,
     wilson_interval,
 )
-from .replay import load_replay, save_replay

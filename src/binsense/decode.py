@@ -9,22 +9,17 @@ measure-zero event, but tests need reproducible answers.
 Both statistics are sums over rows, and both are added up one row at a
 time in row order.  The score or residual of the first m rows is thus a
 function of those rows alone, so one pass over a tall matrix yields the
-exact statistic of every row prefix (:func:`prefix_scores`,
-:func:`mle_prefix_decode`), equal bit for bit to decoding the prefix on
-its own.
+exact MLE of every row prefix (:func:`mle_prefix_decode`), equal bit for
+bit to decoding the prefix on its own.  The MLE oracle enumerates its
+candidates from a cached lexicographic table of supports.
 
-Scores are summed by one kernel, :func:`_scan_scores`, that takes the
-rows a cache-sized block at a time from a caller's ``draw`` function: the
-block sits under the carried score vector and numpy adds its rows in
-order, whole rows per call.  The top-k decoder passes slices of a full
-matrix; the Monte Carlo harness draws each block as it goes, so a trial's
-matrix is never held whole.  The MLE oracle enumerates its candidates
-from a cached lexicographic table of supports.
+The Monte Carlo harness judges top-k trials from the scores' sufficient
+statistics without drawing a matrix; the decoders here are the library
+API and the reference its tests hold it to.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -38,7 +33,6 @@ __all__ = [
     "BudgetExceededError",
     "DecodeResult",
     "topk_correlation_decode",
-    "prefix_scores",
     "mle_decode_linear",
     "mle_prefix_decode",
     "quantize",
@@ -103,75 +97,24 @@ def _check_prefixes(ms, m: int) -> np.ndarray:
     return rows
 
 
-# rows added per kernel call: 64 rows of 512 columns are 256 kB, so a
-# block stays in cache while it is drawn, measured and summed
-_BLOCK_ROWS = 64
-
-
-def _scan_scores(draw, n: int, marks: list):
-    """Running correlation scores sum_i y_i A_i over row blocks, read at the marks.
-
-    ``draw(start, stop)`` returns rows [start, stop) as (A_rows, y_rows);
-    it is called once for each consecutive block of _BLOCK_ROWS rows up to
-    marks[-1], the ascending list of prefix lengths to read.  Each block's
-    terms y_i A_i lie in a buffer under the carried scores (row 0), and the
-    rows are added in row order: ``np.add.reduce`` over axis 0 when the
-    block holds no mark, ``np.add.accumulate`` when it does.  (A single
-    column is always accumulated: numpy would reduce it pairwise.)  Yields,
-    for each block that holds marks, the scores at those marks as a fresh
-    (marks in block, n) array.
-    """
-    buf = np.empty((_BLOCK_ROWS + 1, n))
-    sums = np.empty_like(buf)
-    carry = np.zeros(n)
-    j = 0
-    for start in range(0, marks[-1], _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, marks[-1])
-        A_rows, y_rows = draw(start, stop)
-        block = buf[: stop - start + 1]
-        block[0] = carry
-        np.multiply(A_rows, y_rows[:, None], out=block[1:])
-        end = bisect.bisect_right(marks, stop, j)
-        if end == j and n > 1:
-            np.add.reduce(block, axis=0, out=carry)
-            continue
-        running = np.add.accumulate(block, axis=0, out=sums[: len(block)])
-        carry[:] = running[-1]
-        if end > j:
-            yield running[np.array(marks[j:end]) - start]
-            j = end
-
-
-def _scan_footprint(n: int) -> int:
-    """Bytes :func:`_scan_scores` holds at once for n columns: a drawn block,
-    its buffer, the accumulated sums and the scores read at marks."""
-    return 4 * (_BLOCK_ROWS + 1) * n * 8
-
-
-def prefix_scores(A: SensingMatrix, y: MeasurementVector, ms) -> np.ndarray:
-    """Correlation scores of the first m rows, for each m in the ascending ``ms``.
-
-    Row j of the (len(ms), n) result is sum_{i < ms[j]} y_i A_i, added up
-    one row at a time in row order; it depends on those rows alone, not
-    on A.m or on ``ms``.  Rows past the last m are never read.
-    """
-    if y.m != A.m:
-        raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
-    marks = _check_prefixes(ms, A.m).tolist()
-    blocks = _scan_scores(lambda a, b: (A.entries[a:b], y.values[a:b]), A.n, marks)
-    return np.concatenate(list(blocks))
-
-
 def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> DecodeResult:
     """Support estimate from the k columns most correlated with the output.
 
-    Scores are l_i = sum_j y_j A_{j,i} (see :func:`prefix_scores`); the
-    estimate is the index set of the k largest scores.  Works for every
-    channel.
+    Scores are l_i = sum_j y_j A_{j,i}, added one row at a time in row
+    order; the estimate is the index set of the k largest scores.  Works
+    for every channel.
     """
+    if y.m != A.m:
+        raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
     if not 1 <= k <= A.n:
         raise ValueError(f"need 1 <= k <= n={A.n}, got k={k}")
-    scores = prefix_scores(A, y, [A.m])[0]
+    terms = A.entries * y.values[:, None]
+    # numpy reduces axis 0 of a 2-D array row by row, but a single column
+    # is contiguous and would be summed pairwise; accumulate keeps it in order
+    if A.n > 1:
+        scores = np.add.reduce(terms, axis=0)
+    else:
+        scores = np.add.accumulate(terms, axis=0)[-1]
     return DecodeResult(_top_k_indices(scores, k), "topk", scores)
 
 

@@ -9,20 +9,27 @@ m reuse the same underlying instances (paired sampling, which also keeps
 curve comparisons low-variance).  Aggregation is success counting, so
 results never depend on execution order.
 
-Draws are prefix-stable (see :mod:`binsense.numerics`): the trial at m
-rows is the first m rows of the trial at any larger m.  A sweep or a
-threshold search therefore draws each trial once, at the largest m it
-needs, and judges it at every smaller m from running sums over the rows.
-Top-k and quantize trials are streamed: one live generator per role
-draws the matrix and noise a row block at a time, each block is measured,
-added into the running scores and dropped, and every m that falls in the
-block is judged there (:func:`~binsense.decode._scan_scores`), so memory
-per trial depends on n alone.  MLE trials draw the whole matrix
-(:func:`~binsense.decode.mle_prefix_decode`).  Each verdict is bit for
-bit the one a trial drawn at that m alone gets, so a count never depends
-on the grid, the bracket, the block size, or which other m were asked
-for.  One process pool serves a whole call; each worker runs a
-contiguous block of trials.
+Top-k and quantize trials never draw a matrix.  Their verdict reads only
+the n scores s_j(m) = sum_{i<m} y_i A_ij, whose law given the outputs is
+exact Gaussian conditioning: with t_i = <A_i, x> ~ N(0, k) drawn directly
+(matrix role) and y from the channel (noise role), the off-support scores
+are independent Gaussian walks W_j run on the clock v(m) = sum_{i<m} y_i^2,
+and the support scores are (sum_{i<m} y_i t_i / k) 1 + (I - 11^T/k) W_S.
+The walks are evaluated on a fixed dyadic skeleton (:class:`_Skeleton`):
+forward steps to each power of two, Brownian-bridge midpoints between
+them, each node's normals a fixed range of the trial's walk or bridge
+stream, so W at m is a function of (trial, m) alone, costs about
+2 log2(m) nodes of n normals, and a count never depends on the grid, the
+bracket, or which other m were asked for.  The quantize arm signs y and
+keeps t, the noise and the node normals, so quantize-on-linear is the
+one-bit trial bit for bit.  MLE trials draw the whole matrix once, at
+the largest m, and judge every smaller m from row-ordered prefix sums
+(:func:`~binsense.decode.mle_prefix_decode`); draws are prefix-stable
+(see :mod:`binsense.numerics`), so each verdict is the one a trial drawn
+at that m alone gets.  One process pool serves a whole call; each worker
+runs a contiguous block of trials, and a threshold search asks the pool
+for the m its bisection visits only, its workers keeping each top-k
+trial set up between probes.
 """
 
 from __future__ import annotations
@@ -30,23 +37,23 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import model as _model
 from .decode import (
     _check_prefixes,
     _mle_footprint,
-    _scan_footprint,
-    _scan_scores,
     _top_k_indices,
     mle_decode_linear,
     mle_prefix_decode,
     quantize,
 )
 
-# Imported, though trials no longer call them, so that tracing tools can
+# Imported, though trials do not call them, so that tracing tools can
 # patch every decoder where the harness resolves it (see bench/spans.py).
 from .decode import quantize_then_decode, topk_correlation_decode  # noqa: F401
 from .model import (
@@ -56,7 +63,9 @@ from .model import (
     link_slope,
     measure,
     noise_param,
+    observe,
     random_signal,
+    sample_projections,
     sign_pm1,
 )
 from .numerics import RngStream, derive_trial_stream, sample_gaussian
@@ -66,6 +75,8 @@ __all__ = [
     "ROLE_SIGNAL",
     "ROLE_MATRIX",
     "ROLE_NOISE",
+    "ROLE_WALK",
+    "ROLE_BRIDGE",
     "BracketError",
     "TrialConfig",
     "TrialOutcome",
@@ -86,6 +97,8 @@ __all__ = [
 ROLE_SIGNAL = 0
 ROLE_MATRIX = 1
 ROLE_NOISE = 2
+ROLE_WALK = 3  # forward steps of a top-k trial's score walks
+ROLE_BRIDGE = 4  # their bridge midpoints
 
 DECODERS = ("topk", "mle", "quantize")
 
@@ -128,7 +141,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Exact-recovery verdicts of one trial drawn at config.m rows.
+    """Exact-recovery verdicts of one trial, judged at several m.
 
     ``successes[j]`` is True iff decoding the first ``ms[j]`` rows (see
     :func:`run_trial`) returns the true support as a set; the last m is
@@ -161,53 +174,177 @@ def _topk_recovers(scores: np.ndarray, support: np.ndarray) -> np.ndarray:
     return ok
 
 
+class _Skeleton:
+    """The n score walks of one top-k trial, read on a fixed dyadic skeleton.
+
+    W is an n-vector standard Gaussian walk run on the trial's clock
+    (``clock[m]`` = v(m), ``clock[0]`` = 0), and node c >= 1 is W(v(c)).
+    Powers of two are forward steps: node 2^j adds sqrt(v(2^j) - v(2^(j-1)))
+    times normals j of the walk stream (samples [j n, (j + 1) n)) to node
+    2^(j-1), from W = 0.  Any other c is the Brownian-bridge midpoint of
+    nodes c - h and c + h, h the lowest set bit of c, with normals c of the
+    bridge stream (samples [c n, (c + 1) n)) and the bridge's mean and
+    variance taken on the clock (Levy's construction).  Every node is thus
+    a fixed function of its own normals and those it is built from,
+    whichever nodes were read before.
+    """
+
+    def __init__(self, base: RngStream, n: int, clock: np.ndarray) -> None:
+        levels = (len(clock) - 1).bit_length()  # powers of two up to the clock's end
+        # drawn through model's sampler, like every other draw of a trial
+        steps = _model.sample_gaussian(base.substream(ROLE_WALK), levels * n).reshape(levels, n)
+        powers = 1 << np.arange(levels)
+        steps *= np.sqrt(clock[powers] - clock[powers >> 1])[:, None]
+        self.forward = np.cumsum(steps, axis=0)  # row j is node 2^j; rows add in order
+        self.bridge = base.substream(ROLE_BRIDGE)
+        self.n, self.clock = n, clock
+        self.nodes = {}
+
+    def __call__(self, c: int) -> np.ndarray:
+        h = c & -c
+        if h == c:
+            return self.forward[h.bit_length() - 1]
+        w = self.nodes.get(c)
+        if w is None:
+            lo, hi = self(c - h), self(c + h)
+            v = self.clock
+            left, span = v[c] - v[c - h], v[c + h] - v[c - h]
+            if span > 0.0:
+                normals = _model.sample_gaussian(self.bridge, self.n, start=c * self.n)
+                w = lo + (left / span) * (hi - lo)
+                w += math.sqrt(left * (v[c + h] - v[c]) / span) * normals
+            else:
+                w = lo.copy()
+            self.nodes[c] = w
+        return w
+
+    def keep(self, c: int) -> None:
+        """Forget every midpoint that node c is not built from.
+
+        For ascending reads this loses nothing still needed: a node that
+        two reads are built from lies on the path of every read between.
+        """
+        path, todo = set(), [c]
+        while todo:
+            c = todo.pop()
+            h = c & -c
+            if h != c and c not in path:
+                path.add(c)
+                todo += (c - h, c + h)
+        self.nodes = {c: w for c, w in self.nodes.items() if c in path}
+
+
+def _skeleton_length(m: int) -> int:
+    """Outputs a top-k trial read up to m draws: up to the node m is bridged to."""
+    return 1 << (m - 1).bit_length()
+
+
+class _TopkTrial:
+    """One top-k (or quantize) trial, set up to be read at any m <= ``m_max``.
+
+    Holds the scores' sufficient statistics: the true support, the running
+    sum sum_{i<m} y_i t_i, and the walks on the clock v(m) = sum_{i<m} y_i^2.
+    """
+
+    def __init__(self, config: TrialConfig, trial_index: int, m_max: int) -> None:
+        self.m_max = m_max
+        base = derive_trial_stream(config.master_seed, trial_index)
+        self.truth = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL)).support_array
+        t = sample_projections(_skeleton_length(m_max), config.k, base.substream(ROLE_MATRIX))
+        y = observe(t, config.model, base.substream(ROLE_NOISE))
+        y = (quantize(y) if config.decoder == "quantize" else y).values
+        self.drift = np.cumsum(y * t)
+        self.walk = _Skeleton(base, config.n, np.concatenate(([0.0], np.cumsum(y * y))))
+
+    def scores(self, m: int) -> np.ndarray:
+        """The n correlation scores of the first m outputs, as a fresh array:
+        the walk off the support; on it, the drift along 1 plus the walk
+        projected off 1."""
+        scores = self.walk(m).copy()
+        inside = scores[self.truth]
+        scores[self.truth] = self.drift[m - 1] / self.truth.size + (inside - inside.mean())
+        return scores
+
+
+# Top-k trials kept by a threshold search between its probes, in each
+# process that counts them (see _block_counts); None outside a search.
+# A pure cache: a trial reads the same scores however it was set up.
+_kept = None
+
+# bytes of kept trials one process may hold
+_KEPT_BYTES = 64 * 2**20
+
+
+def _kept_key(config: TrialConfig, trial_index: int) -> tuple:
+    return (config.model, config.n, config.k, config.decoder, config.master_seed, trial_index)
+
+
+def _topk_trial(config: TrialConfig, trial_index: int) -> _TopkTrial:
+    """A kept trial set up for at least config.m, else one set up afresh."""
+    trial = _kept.get(_kept_key(config, trial_index)) if _kept else None
+    if trial is None or trial.m_max < config.m:
+        trial = _TopkTrial(config, trial_index, config.m)
+    return trial
+
+
 def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
-    """Fresh signal, matrix and noise for this index at config.m rows;
-    decode the first m rows for every m in ``ms`` and compare.
+    """Fresh signal and measurements for this index; decode the first m
+    rows for every m in ``ms`` and compare.
 
     ``ms`` is strictly ascending and ends at config.m; the default is
-    just config.m.  Top-k and quantize trials are drawn, measured and
-    scored a row block at a time (:func:`~binsense.decode._scan_scores`)
-    and judged at every m as its block passes, so neither the matrix nor
-    a table of scores is ever held whole.  MLE trials draw the whole
-    matrix.  Every verdict agrees bit for bit with running the decoder on
-    the first m rows.
+    just config.m.  Top-k and quantize trials are judged from the scores'
+    sufficient statistics (:class:`_TopkTrial`), with no matrix drawn;
+    MLE trials draw the whole matrix at config.m.  Either way the verdict
+    at m is a function of (config, trial_index, m) alone.
     """
     ms = (config.m,) if ms is None else tuple(int(m) for m in ms)
     if not ms or ms[-1] != config.m:
         raise ValueError(f"ms must end at config.m={config.m}, got {ms}")
     _check_prefixes(ms, config.m)
+    if config.decoder != "mle":
+        trial = _topk_trial(config, trial_index)
+        successes = []
+        for m in ms:
+            scores = trial.scores(m)
+            successes.append(bool(_topk_recovers(scores[None], trial.truth)[0]))
+            trial.walk.keep(m)
+        decoded = _top_k_indices(scores, config.k)
+        return TrialOutcome(tuple(successes), tuple(int(i) for i in decoded))
     base = derive_trial_stream(config.master_seed, trial_index)
     x = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL))
-    truth = x.support_array
-    matrix, noise = base.substream(ROLE_MATRIX), base.substream(ROLE_NOISE)
-    if config.decoder == "mle":
-        A = gen_sensing_matrix(config.m, config.n, matrix)
-        y = measure(A, x, config.model, noise)
-        if len(ms) == 1:
-            supports = mle_decode_linear(A, y, config.k, config.mle_budget).support[None]
-        else:
-            supports = mle_prefix_decode(A, y, config.k, ms, config.mle_budget)
-        successes = np.all(supports == truth, axis=1)
-        return TrialOutcome(tuple(bool(s) for s in successes), tuple(int(i) for i in supports[-1]))
-    matrix_source, noise_source = matrix.generator(), noise.generator()
-
-    def rows(start: int, stop: int):
-        A = gen_sensing_matrix(stop - start, config.n, matrix, source=matrix_source)
-        y = measure(A, x, config.model, noise, source=noise_source)
-        return A.entries, (quantize(y) if config.decoder == "quantize" else y).values
-
-    successes = []
-    for scores in _scan_scores(rows, config.n, list(ms)):
-        successes += _topk_recovers(scores, truth).tolist()
-    decoded = _top_k_indices(scores[-1], config.k)
-    return TrialOutcome(tuple(successes), tuple(int(i) for i in decoded))
+    A = gen_sensing_matrix(config.m, config.n, base.substream(ROLE_MATRIX))
+    y = measure(A, x, config.model, base.substream(ROLE_NOISE))
+    if len(ms) == 1:
+        supports = mle_decode_linear(A, y, config.k, config.mle_budget).support[None]
+    else:
+        supports = mle_prefix_decode(A, y, config.k, ms, config.mle_budget)
+    successes = np.all(supports == x.support_array, axis=1)
+    return TrialOutcome(tuple(bool(s) for s in successes), tuple(int(i) for i in supports[-1]))
 
 
-def _block_counts(config: TrialConfig, ms: tuple, start: int, stop: int) -> list:
+def _block_counts(
+    config: TrialConfig, ms: tuple, start: int, stop: int, keep: bool = False
+) -> list:
+    """Successes at every m of the ascending ``ms`` (none above config.m)
+    over trials [start, stop).
+
+    With ``keep``, top-k trials are set up once for config.m and kept,
+    while there is room, for the later calls of the same search: a worker
+    process ends with its pool, and :func:`_counter` drops the trials kept
+    in its own process.
+    """
+    global _kept
+    if keep and _kept is None:
+        _kept = {}
+    room = _KEPT_BYTES // _walk_footprint(config.m, config.n)
+    judged = replace(config, m=ms[-1])
     counts = np.zeros(len(ms), dtype=np.int64)
     for i in range(start, stop):
-        counts += run_trial(config, i, ms).successes
+        if keep and config.decoder != "mle":
+            key = _kept_key(config, i)
+            if key not in _kept and len(_kept) < room:
+                _kept[key] = _TopkTrial(config, i, config.m)
+        counts += run_trial(judged, i, ms).successes
     return counts.tolist()
 
 
@@ -217,44 +354,69 @@ def _worker_count(workers: int, trials: int) -> int:
     return max(1, min(workers, trials, len(os.sched_getaffinity(0))))
 
 
+def _walk_footprint(m: int, n: int) -> int:
+    """Bytes a top-k trial read up to m holds: about seven arrays of its
+    skeleton's length (t, noise, outputs, clock, drift and temporaries)
+    and the nodes of two reads' paths, each n long, plus a few score vectors."""
+    length = _skeleton_length(m)
+    return (7 * length + (4 * length.bit_length() + 10) * n) * 8
+
+
 def _check_memory(config: TrialConfig) -> None:
     """Refuse a trial whose arrays would not fit in this machine's memory.
 
     An MLE trial holds its whole m x n matrix; a top-k or quantize trial
-    holds only the row blocks of its score scan, whatever its m.
+    holds its sufficient statistics and O(log m) skeleton nodes.
     """
     m, n = config.m, config.n
     if config.decoder == "mle":
-        need, what, fix = _mle_footprint(m, n), f"a {m} x {n} sensing matrix", "m or n"
+        need, what = _mle_footprint(m, n), f"a {m} x {n} sensing matrix"
     else:
-        need, what, fix = _scan_footprint(n), f"a trial scanned in row blocks of {n} columns", "n"
+        need, what = _walk_footprint(m, n), f"a top-k trial of {n} columns at m={m}"
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValueError(
             f"{what} needs {need / 2**30:.3g} GiB, more than the "
-            f"{have / 2**30:.3g} GiB of memory on this machine; reduce {fix}"
+            f"{have / 2**30:.3g} GiB of memory on this machine; reduce m or n"
         )
 
 
-def _success_counts(config: TrialConfig, ms: tuple, trials: int, workers: int) -> list:
-    """Successes at every m in the ascending ``ms`` over trial indices
-    [0, trials), each trial drawn once at max(ms); identical for any
-    worker count."""
+@contextmanager
+def _counter(config: TrialConfig, trials: int, workers: int, keep: bool = False):
+    """Yield ``counts(ms)``: successes at every m of the ascending ``ms``
+    (none above config.m) over trial indices [0, trials).
+
+    One pool serves every call of ``counts``, each worker a fixed
+    contiguous block of trials, and the blocks' counts are summed, so
+    they are identical for any worker count.  With ``keep`` the workers
+    keep their top-k trials between calls (see :func:`_block_counts`).
+    """
+    global _kept
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    config = replace(config, m=ms[-1])
     _check_memory(config)
     workers = _worker_count(workers, trials)
-    if workers == 1:
-        return _block_counts(config, ms, 0, trials)
-    edges = [round(i * trials / workers) for i in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_block_counts, config, ms, a, b)
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        return [sum(column) for column in zip(*(f.result() for f in futures))]
+    try:
+        if workers == 1:
+            yield lambda ms: _block_counts(config, ms, 0, trials, keep)
+            return
+        edges = [round(i * trials / workers) for i in range(workers + 1)]
+        blocks = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+
+            def counts(ms: tuple) -> list:
+                futures = [pool.submit(_block_counts, config, ms, a, b, keep) for a, b in blocks]
+                return [sum(column) for column in zip(*(f.result() for f in futures))]
+
+            yield counts
+    finally:
+        _kept = None
+
+
+def _success_counts(config: TrialConfig, ms: tuple, trials: int, workers: int) -> list:
+    """Successes at every m in the ascending ``ms`` over trial indices [0, trials)."""
+    with _counter(replace(config, m=ms[-1]), trials, workers) as counts:
+        return counts(ms)
 
 
 def count_successes(config: TrialConfig, trials: int, workers: int = 1) -> int:
@@ -329,7 +491,7 @@ def sweep(
 
     Trial indices are shared across grid points, so rows are paired
     samples of the same underlying instances at growing m; each trial is
-    drawn once, at the largest m, and judged at every m of the grid.
+    set up once and judged at every m of the grid.
     """
     grid = [int(m) for m in m_grid]
     if not grid:
@@ -378,44 +540,45 @@ def estimate_m95(
 
     The bracket is validated first: the rate at m_hi must clear the
     threshold, else the search has no target and a BracketError is
-    raised.  Every trial is drawn once, at m_hi, and judged at every m in
-    [m_lo, m_hi]; the bisection then reads its probes off those counts,
-    so every probe shares the same trials and the returned value is
-    deterministic given the master seed.  The transition is
-    steep (all-or-nothing behavior), which is what makes bisection on a
-    noisy but effectively monotone curve reliable.
+    raised.  Each probe counts the same trials at its m, through one
+    process pool that serves the whole search, and only the m the
+    bisection visits are ever counted; every verdict is a function of
+    (trial, m) alone, so the returned value is deterministic given the
+    master seed.  The transition is steep (all-or-nothing behavior),
+    which is what makes bisection on a noisy but effectively monotone
+    curve reliable.
     """
     if not (isinstance(m_lo, int) and isinstance(m_hi, int) and 1 <= m_lo < m_hi):
         raise ValueError(f"need 1 <= m_lo < m_hi, got m_lo={m_lo!r}, m_hi={m_hi!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
-    counts = _success_counts(config, tuple(range(m_lo, m_hi + 1)), trials, workers)
     cache = {}
     probes = []
+    with _counter(replace(config, m=m_hi), trials, workers, keep=True) as counts:
 
-    def rate(m: int) -> float:
-        if m not in cache:
-            successes = counts[m - m_lo]
-            cache[m] = successes
-            probes.append(ProbeRow(m, successes, trials, successes / trials))
-        return cache[m] / trials
+        def rate(m: int) -> float:
+            if m not in cache:
+                successes = counts((m,))[0]
+                cache[m] = successes
+                probes.append(ProbeRow(m, successes, trials, successes / trials))
+            return cache[m] / trials
 
-    if rate(m_hi) < threshold:
-        raise BracketError(
-            f"success rate {rate(m_hi):.3f} at m_hi={m_hi} is below the "
-            f"threshold {threshold}; widen the bracket"
-        )
-    if rate(m_lo) >= threshold:
-        m95 = m_lo
-    else:
-        lo, hi = m_lo, m_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if rate(mid) >= threshold:
-                hi = mid
-            else:
-                lo = mid
-        m95 = hi
+        if rate(m_hi) < threshold:
+            raise BracketError(
+                f"success rate {rate(m_hi):.3f} at m_hi={m_hi} is below the "
+                f"threshold {threshold}; widen the bracket"
+            )
+        if rate(m_lo) >= threshold:
+            m95 = m_lo
+        else:
+            lo, hi = m_lo, m_hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if rate(mid) >= threshold:
+                    hi = mid
+                else:
+                    lo = mid
+            m95 = hi
     successes = cache[m95]
     lo_ci, hi_ci = wilson_interval(successes, trials, confidence)
     return M95Result(

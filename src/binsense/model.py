@@ -39,7 +39,9 @@ __all__ = [
     "sign_pm1",
     "random_signal",
     "gen_sensing_matrix",
+    "sample_projections",
     "measure",
+    "observe",
     "inverse_link",
     "link_slope",
 ]
@@ -101,8 +103,7 @@ class Logistic:
 
 Model = Union[Linear, OneBit, Logistic]
 
-# The registry of channels.  A channel's index here is its tag in the
-# replay file format, so the order is fixed.
+# The registry of channels, in the order the CLI lists them.
 CHANNELS = (Linear, OneBit, Logistic)
 
 
@@ -190,19 +191,26 @@ class SensingMatrix:
         return self.entries.shape[1]
 
 
-def gen_sensing_matrix(m: int, n: int, stream: RngStream, *, source=None) -> SensingMatrix:
+def gen_sensing_matrix(m: int, n: int, stream: RngStream) -> SensingMatrix:
     """m x n matrix of i.i.d. N(0, 1) entries, row-major draw order.
 
     For any k-sparse binary x this design satisfies E[(A_i^T x)^2] = k,
-    the power constraint the bounds assume.  With ``source`` (a live
-    generator of ``stream``) the rows continue the draw where the last
-    one from ``source`` stopped, so consecutive row blocks are slices of
-    one matrix.
+    the power constraint the bounds assume.
     """
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
         raise ValueError(f"m and n must be positive integers, got m={m!r}, n={n!r}")
-    entries = sample_gaussian(stream, m * n, source=source).reshape(m, n)
+    entries = sample_gaussian(stream, m * n).reshape(m, n)
     return SensingMatrix(entries, stream)
+
+
+def sample_projections(m: int, k: int, stream: RngStream) -> np.ndarray:
+    """m clean projections t_i = <A_i, x> of a k-sparse binary x, drawn in law.
+
+    With i.i.d. N(0, 1) rows, t_i ~ N(0, k) independently, so t is
+    sqrt(k) times m standard normals of the stream (prefix-stable) and
+    no row of A is drawn.
+    """
+    return math.sqrt(k) * sample_gaussian(stream, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,16 +234,9 @@ class MeasurementVector:
 
 
 def measure(
-    A: SensingMatrix, x: SparseSignal, model: Model, stream: RngStream, *, source=None
+    A: SensingMatrix, x: SparseSignal, model: Model, stream: RngStream
 ) -> MeasurementVector:
-    """Observe x through A under the given channel.
-
-    The stream feeds only the channel noise (Gaussian z for linear and
-    one-bit, the Bernoulli draws for logistic), so linear and one-bit
-    measurements taken with the same stream share z exactly.  With
-    ``source`` (a live generator of ``stream``) the noise continues where
-    the last draw from ``source`` stopped, so measuring a matrix a row
-    block at a time gives the slices of measuring it whole.
+    """Observe x through A under the given channel: :func:`observe` of t = A x.
 
     Row i depends on row i of A alone: t_i adds the support columns one
     at a time in index order, whatever the number of rows.
@@ -246,18 +247,28 @@ def measure(
         t = np.add.accumulate(A.entries[:, x.support_array], axis=1)[:, -1]
     else:
         t = np.zeros(A.m, dtype=np.float64)
+    return observe(t, model, stream)
 
+
+def observe(t: np.ndarray, model: Model, stream: RngStream) -> MeasurementVector:
+    """The channel's outputs for the clean projections t.
+
+    The stream feeds only the channel noise (Gaussian z for linear and
+    one-bit, the Bernoulli draws for logistic), so linear and one-bit
+    outputs taken with the same stream share z exactly.  Output i depends
+    on t_i and the stream's i-th draw alone.
+    """
+    m = t.shape[0]
     if isinstance(model, _GaussianNoise):
         if model.sigma2 > 0.0:
-            z = math.sqrt(model.sigma2) * sample_gaussian(stream, A.m, source=source)
-            t = t + z
+            t = t + math.sqrt(model.sigma2) * sample_gaussian(stream, m)
         return MeasurementVector(model, sign_pm1(t) if model.binary else t)
 
     if isinstance(model, Logistic):
         if math.isinf(model.beta):
             return MeasurementVector(model, sign_pm1(t))
         p = expit(model.beta * t)
-        u = (stream.generator() if source is None else source).random(A.m)
+        u = stream.generator().random(m)
         return MeasurementVector(model, np.where(u < p, 1.0, -1.0))
 
     raise TypeError(f"not a measurement model: {model!r}")

@@ -18,14 +18,16 @@ Every draw is prefix-stable: sample i depends on uniform i alone, so the
 first c samples of a stream are the same whether c or more are drawn.
 A matrix drawn row by row at m rows is therefore the first m rows of the
 matrix at any larger m, which lets one draw serve every smaller m.  A
-draw may also continue a stream where an earlier one stopped: passed the
-same live generator as ``source``, consecutive draws of a and b samples
-are the a + b samples of one draw, which lets a trial be drawn a row
-block at a time without ever holding it whole.
+draw may also start anywhere in its stream (``start``): Philox is
+counter-based, so reading samples [s, s + c) costs c samples whatever s
+is, which lets the Monte Carlo harness give each node of a trial's
+Brownian skeleton a fixed range of one stream and draw only the nodes it
+needs, in any order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +59,7 @@ class RngStream:
     Both fields are unsigned 64-bit integers.  ``generator()`` returns a
     fresh numpy Generator each call, so a stream always replays from the
     start; consumers that need several independent sources derive them
-    with distinct ids instead of sharing generator state.  A consumer that
-    draws one stream in pieces keeps one generator and passes it along as
-    the draws' ``source``.
+    with distinct ids instead of sharing generator state.
     """
 
     master_seed: int
@@ -74,6 +74,12 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+    @functools.cached_property
+    def _cursor(self) -> "_Cursor":
+        # one live generator per stream object, so that reading a stream
+        # in many pieces (see sample_gaussian) builds one generator, not many
+        return _Cursor(self)
 
     def substream(self, tag: int) -> "RngStream":
         """Derived stream for one role (signal/matrix/noise) within a trial.
@@ -144,18 +150,52 @@ def _open_interval(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def sample_gaussian(stream: RngStream, count: int, *, source=None) -> np.ndarray:
+class _Cursor:
+    """A live generator of one stream and the index of its next uniform."""
+
+    __slots__ = ("generator", "next")
+
+    def __init__(self, stream: RngStream) -> None:
+        self.generator = stream.generator()
+        self.next = 0
+
+    def seek(self, start: int) -> np.random.Generator:
+        """The generator, placed so that its next uniform is uniform ``start``.
+
+        Philox makes 4 uniforms per counter step; ``advance`` moves the
+        counter by whole steps (mod 2**256, so backwards as well) and drops
+        any uniforms left over from the current step.
+        """
+        if start != self.next:
+            step = -(-self.next // 4)  # the step the counter stands at
+            self.generator.bit_generator.advance((start // 4 - step) % 2**256)
+            if start % 4:
+                self.generator.random(start % 4)
+            self.next = start
+        return self.generator
+
+
+def sample_gaussian(stream: RngStream, count: int, *, start: int = 0) -> np.ndarray:
     """``count`` i.i.d. N(0, 1) variates, fully determined by the stream.
 
-    Inverse CDF: sample i is ``ndtri`` of the stream's uniform i, moved
-    into the open interval (0, 1).  Sample i depends on uniform i alone,
-    so a shorter draw is always a prefix of a longer one.  The draw starts
-    at the stream's first uniform, or, given ``source`` (a generator of
-    this stream), where the previous draw from ``source`` stopped.
+    Inverse CDF: sample i is ``ndtri`` of the stream's uniform start + i,
+    moved into the open interval (0, 1).  Sample i depends on uniform i
+    alone, so a shorter draw is always a prefix of a longer one, and a
+    draw at ``start`` is that slice of one draw from the beginning.  A
+    draw from the start takes a fresh generator; a draw elsewhere moves
+    the stream object's one live generator to ``start`` by Philox's
+    counter, so reading a slice costs no more than its own samples.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    u = (stream.generator() if source is None else source).random(count)
+    if not isinstance(start, int) or start < 0:
+        raise ValueError(f"start must be a nonnegative integer, got {start!r}")
+    if start == 0:
+        u = stream.generator().random(count)
+    else:
+        cursor = stream._cursor
+        u = cursor.seek(start).random(count)
+        cursor.next = start + count
     return ndtri(_open_interval(u), out=u)
 
 

@@ -17,7 +17,6 @@ from binsense.decode import (
     decimal_row,
     mle_decode_linear,
     mle_prefix_decode,
-    prefix_scores,
     quantize,
     quantize_then_decode,
     topk_correlation_decode,
@@ -173,25 +172,49 @@ class TestPrefixDecoding:
         return SensingMatrix(A.entries[:m]), MeasurementVector(y.model, y.values[:m])
 
     def test_scores_are_row_by_row_sums(self):
-        _, A, y = self._instance(Linear(1.0))
-        ms = [1, 7, 33, 60]
-        got = prefix_scores(A, y, ms)
-        for row, m in zip(got, ms):
-            acc = np.zeros(A.n)
-            for i in range(m):
-                acc = acc + y.values[i] * A.entries[i]
-            assert np.array_equal(row, acc)
-            assert np.array_equal(row, topk_correlation_decode(*self._prefix(A, y, m), 3).scores)
+        # the top-k scores of every prefix, block edges of any earlier kernel included
+        _, A, y = self._instance(OneBit(1.0), m=200)
+        ms = [1, 2, 3, 7, 33, 62, 63, 64, 65, 66, 127, 128, 129, 199, 200]
+        acc = np.zeros(A.n)
+        for i in range(200):
+            acc = acc + y.values[i] * A.entries[i]
+            if i + 1 in ms:
+                got = topk_correlation_decode(*self._prefix(A, y, i + 1), 3).scores
+                assert np.array_equal(got, acc)
 
     def test_rows_do_not_depend_on_the_other_prefixes(self):
-        _, A, y = self._instance(OneBit(1.0), m=600)
-        full = prefix_scores(A, y, range(1, 601))
+        _, A, y = self._instance(Linear(4.0), m=600)
+        full = mle_prefix_decode(A, y, 3, range(1, 601))
+        assert len({tuple(row) for row in full}) > 1  # the answer moves with m
         for ms in ([5], [300, 600], [17, 255, 256, 257, 599]):
-            assert np.array_equal(prefix_scores(A, y, ms), full[np.array(ms) - 1])
+            assert np.array_equal(mle_prefix_decode(A, y, 3, ms), full[np.array(ms) - 1])
+
+    @pytest.mark.parametrize("candidates", [1, 3, 64])
+    def test_scores_do_not_depend_on_the_block_size(self, monkeypatch, candidates):
+        # the MLE's scores are its residual sums, added here one row at a time
+        # for every support; blocks of 1, 3 or 64 candidates pick the same minima
+        _, A, y = self._instance(Linear(4.0), m=200)
+        ms = [1, 2, 3, 62, 63, 64, 65, 66, 127, 128, 129, 130, 199, 200]
+        supports = np.array(list(itertools.combinations(range(A.n), 3)))
+        fit = A.entries[:, supports[:, 0]]
+        for p in (1, 2):
+            fit = fit + A.entries[:, supports[:, p]]
+        residuals = y.values[:, None] - fit
+        residuals = residuals * residuals
+        expected = np.zeros((len(ms), 3), dtype=np.int64)
+        acc = np.zeros(len(supports))
+        for i in range(200):
+            acc = acc + residuals[i]
+            if i + 1 in ms:
+                expected[ms.index(i + 1)] = supports[np.argmin(acc)]
+        assert len({tuple(row) for row in expected}) > 1
+        monkeypatch.setattr(decode, "_MLE_BLOCK", candidates * 200)
+        assert np.array_equal(mle_prefix_decode(A, y, 3, ms), expected)
+        assert np.array_equal(mle_prefix_decode(A, y, 3, [200])[0], expected[-1])
 
     @pytest.mark.parametrize("n", [2, 3, 512])
     def test_numpy_reduces_axis_0_in_row_order(self, n):
-        # the score kernel relies on np.add.reduce(axis=0) and np.add.accumulate
+        # the top-k decoder relies on np.add.reduce(axis=0) and np.add.accumulate
         # adding rows one at a time in order; summed pairwise (or in any other
         # order) the tiny rows below would add up to more than 1
         rows = np.full((65, n), 2.0**-53)
@@ -203,22 +226,8 @@ class TestPrefixDecoding:
         assert np.array_equal(np.add.reduce(rows, axis=0), expected)
         assert np.array_equal(np.add.accumulate(rows, axis=0)[-1], expected)
 
-    @pytest.mark.parametrize("block_rows", [1, 3, 64])
-    def test_scores_do_not_depend_on_the_block_size(self, monkeypatch, block_rows):
-        _, A, y = self._instance(OneBit(1.0), m=200)
-        ms = [1, 2, 3, 62, 63, 64, 65, 66, 127, 128, 129, 130, 199, 200]
-        expected = np.zeros((len(ms), A.n))
-        acc = np.zeros(A.n)
-        for i in range(200):
-            acc = acc + y.values[i] * A.entries[i]
-            if i + 1 in ms:
-                expected[ms.index(i + 1)] = acc
-        monkeypatch.setattr(decode, "_BLOCK_ROWS", block_rows)
-        assert np.array_equal(prefix_scores(A, y, ms), expected)
-        assert np.array_equal(prefix_scores(A, y, [200])[0], expected[-1])
-
     def test_single_column_scores_add_in_row_order(self):
-        # one column: np.add.reduce would sum it pairwise, so the kernel accumulates
+        # one column: np.add.reduce would sum it pairwise, so the decoder accumulates
         A = SensingMatrix(np.array([[1.0]] + [[2.0**-53]] * 64))
         y = MeasurementVector(OneBit(0.0), np.ones(65))
         assert topk_correlation_decode(A, y, 1).scores.tolist() == [1.0]
@@ -252,8 +261,6 @@ class TestPrefixDecoding:
     @pytest.mark.parametrize("ms", [[], [0], [3, 3], [5, 2], [61]])
     def test_prefix_validation(self, ms):
         _, A, y = self._instance(Linear(1.0))
-        with pytest.raises(ValueError):
-            prefix_scores(A, y, ms)
         with pytest.raises(ValueError):
             mle_prefix_decode(A, y, 3, ms)
 

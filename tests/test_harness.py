@@ -4,6 +4,7 @@ moment checks, and the Wilson interval."""
 import ast
 import itertools
 import math
+import time
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
@@ -28,7 +29,17 @@ from binsense.harness import (
     wilson_interval,
 )
 from binsense.decode import mle_decode_linear, quantize_then_decode, topk_correlation_decode
-from binsense.model import Linear, Logistic, OneBit, gen_sensing_matrix, measure, random_signal
+from binsense.model import (
+    Linear,
+    Logistic,
+    MeasurementVector,
+    OneBit,
+    SensingMatrix,
+    gen_sensing_matrix,
+    link_slope,
+    measure,
+    random_signal,
+)
 from binsense.numerics import RngStream, derive_trial_stream
 
 
@@ -132,32 +143,32 @@ def _no_pool(monkeypatch):
 
 
 def _counting_draws(monkeypatch):
-    """Record every matrix block drawn, as (stream, rows); refuse to start processes."""
+    """Record every set-up draw of a trial, as (stream, rows): the projections
+    of a top-k trial, the matrix of an MLE trial; refuse to start processes."""
     draws = []
-    draw = harness.gen_sensing_matrix
+    projections, matrix = harness.sample_projections, harness.gen_sensing_matrix
 
-    def counted(m, n, stream, **kwargs):
-        A = draw(m, n, stream, **kwargs)
-        draws.append((stream, A.entries))
-        return A
+    def counted_projections(m, k, stream):
+        draws.append((stream, m))
+        return projections(m, k, stream)
 
-    monkeypatch.setattr(harness, "gen_sensing_matrix", counted)
+    def counted_matrix(m, n, stream):
+        draws.append((stream, m))
+        return matrix(m, n, stream)
+
+    monkeypatch.setattr(harness, "sample_projections", counted_projections)
+    monkeypatch.setattr(harness, "gen_sensing_matrix", counted_matrix)
     _no_pool(monkeypatch)
     return draws
 
 
-def _rows_per_trial(draws) -> list:
-    """Rows each trial drew, in trial order, after checking that a trial's
-    blocks come one after another and are consecutive slices of one draw."""
-    streams = [stream for stream, _ in draws]
-    trials = [stream for stream, _ in itertools.groupby(streams)]
-    assert len(trials) == len(set(trials)), "blocks of different trials interleave"
-    rows = []
-    for stream in trials:
-        whole = np.concatenate([entries for s, entries in draws if s == stream])
-        assert np.array_equal(whole, gen_sensing_matrix(len(whole), whole.shape[1], stream).entries)
-        rows.append(len(whole))
-    return rows
+def _role(config, trial_index, role):
+    return derive_trial_stream(config.master_seed, trial_index).substream(role)
+
+
+def _decode_scores(decode_fn, scores, k):
+    """The decoder run on a 1 x n matrix whose correlation scores are ``scores``."""
+    return decode_fn(SensingMatrix(scores[None]), MeasurementVector(Linear(0.0), np.ones(1)), k)
 
 
 # configs whose success rates lie strictly between 0 and 1 on their grids
@@ -172,7 +183,7 @@ PREFIX_CASES = {
 
 
 class TestPrefixTrials:
-    """Each trial is drawn once at the largest m and judged at every smaller m."""
+    """Each trial is set up once and judged at every m asked for."""
 
     @pytest.mark.parametrize("decoder", sorted(PREFIX_CASES))
     def test_grid_independence(self, decoder):
@@ -184,6 +195,16 @@ class TestPrefixTrials:
             assert sweep(config, [row.m], trials).rows == (row,)
             cfg = replace(config, m=row.m)
             assert row.successes == sum(run_trial(cfg, i).success for i in range(trials))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), decoder=st.sampled_from(sorted(PREFIX_CASES)))
+    def test_grid_independence_property(self, data, decoder):
+        # a row of any grid is the one-point sweep at its m
+        config, grid = PREFIX_CASES[decoder]
+        ms = sorted(data.draw(st.sets(st.integers(1, 2 * grid[-1]), min_size=1, max_size=6)))
+        m = data.draw(st.sampled_from(ms))
+        row = sweep(config, ms, 8).rows[ms.index(m)]
+        assert sweep(config, [m], 8).rows == (row,)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
@@ -213,6 +234,8 @@ class TestPrefixTrials:
 
     @pytest.mark.parametrize("decoder", sorted(PREFIX_CASES))
     def test_decoded_support_is_the_decoders(self, decoder):
+        # MLE trials decode their matrix; top-k trials decode the scores of
+        # their sufficient statistics, which the decoder must pick the same way
         config, grid = PREFIX_CASES[decoder]
         decode = {
             "topk": topk_correlation_decode,
@@ -220,27 +243,45 @@ class TestPrefixTrials:
             "mle": mle_decode_linear,
         }[decoder]
         for i in range(10):
-            base = derive_trial_stream(config.master_seed, i)
-            x = random_signal(config.n, config.k, base.substream(harness.ROLE_SIGNAL))
-            A = gen_sensing_matrix(config.m, config.n, base.substream(harness.ROLE_MATRIX))
-            y = measure(A, x, config.model, base.substream(harness.ROLE_NOISE))
-            result = decode(A, y, config.k)
             outcome = run_trial(config, i)
+            if decoder == "mle":
+                x = random_signal(config.n, config.k, _role(config, i, harness.ROLE_SIGNAL))
+                A = gen_sensing_matrix(config.m, config.n, _role(config, i, harness.ROLE_MATRIX))
+                y = measure(A, x, config.model, _role(config, i, harness.ROLE_NOISE))
+                result, truth = decode(A, y, config.k), frozenset(x.support)
+            else:
+                trial = harness._TopkTrial(config, i, config.m)
+                result = _decode_scores(decode, trial.scores(config.m), config.k)
+                truth = frozenset(trial.truth.tolist())
             assert outcome.decoded_support == tuple(result.support)
-            assert outcome.success == (result.support_set() == frozenset(x.support))
+            assert outcome.success == (result.support_set() == truth)
 
     def test_sweep_draws_once_per_trial(self, monkeypatch):
         draws = _counting_draws(monkeypatch)
         config, grid = PREFIX_CASES["topk"]
         sweep(config, grid, 7, workers=1)
-        assert _rows_per_trial(draws) == [max(grid)] * 7
+        length = harness._skeleton_length(max(grid))
+        assert draws == [(_role(config, i, harness.ROLE_MATRIX), length) for i in range(7)]
+        mle, grid = PREFIX_CASES["mle"]
+        draws.clear()
+        sweep(mle, grid, 3, workers=1)
+        assert draws == [(_role(mle, i, harness.ROLE_MATRIX), max(grid)) for i in range(3)]
 
     def test_m95_draws_once_per_trial(self, monkeypatch):
+        # each trial is set up once, at m_hi, and read only at the probed m
         draws = _counting_draws(monkeypatch)
+        reads = []
+        scores = harness._TopkTrial.scores
+        monkeypatch.setattr(
+            harness._TopkTrial, "scores", lambda trial, m: reads.append(m) or scores(trial, m)
+        )
         config = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)
         result = estimate_m95(config, 9, 10, 300, workers=1)
         assert len(result.probes) > 1
-        assert _rows_per_trial(draws) == [300] * 9
+        length = harness._skeleton_length(300)
+        assert draws == [(_role(config, i, harness.ROLE_MATRIX), length) for i in range(9)]
+        assert reads == [probe.m for probe in result.probes for _ in range(9)]
+        assert harness._kept is None  # the kept trials went with the search
 
     def test_matrix_too_large_refused_before_any_trial(self, monkeypatch):
         rows = _counting_draws(monkeypatch)
@@ -253,8 +294,33 @@ class TestPrefixTrials:
             count_successes(config, 4, workers=2)
         assert rows == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        decoder=st.sampled_from(sorted(PREFIX_CASES)),
+        trials=st.integers(1, 10),
+        warm=st.booleans(),
+    )
+    def test_block_counts_add_up_over_any_split(self, data, decoder, trials, warm):
+        # the counts of contiguous blocks, split anywhere, sum to the serial
+        # counts, whether the blocks set their trials up afresh or read kept ones
+        config, grid = PREFIX_CASES[decoder]
+        config = replace(config, m=grid[-1])
+        marks = st.sets(st.integers(1, grid[-1]), min_size=1, max_size=5)
+        ms = tuple(sorted(data.draw(marks)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, trials), max_size=4)))
+        edges = [0, *cuts, trials]
+        try:
+            serial = harness._block_counts(config, ms, 0, trials, keep=warm)
+            parts = [
+                harness._block_counts(config, ms, a, b, keep=warm) for a, b in zip(edges, edges[1:])
+            ]
+        finally:
+            harness._kept = None
+        assert [sum(column) for column in zip(*parts)] == serial
 
-# every channel and top-k decoder a trial can stream
+
+# every channel and top-k decoder a trial can take
 STREAMED_CASES = {
     "linear-topk": (Linear(1.0), "topk"),
     "linear-quantize": (Linear(1.0), "quantize"),
@@ -265,7 +331,7 @@ STREAMED_CASES = {
 
 
 class TestStreamedTrials:
-    """Top-k and quantize trials are drawn, measured and judged a row block at a time."""
+    """Top-k and quantize trials are judged from their scores' sufficient statistics."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -279,41 +345,71 @@ class TestStreamedTrials:
         model, decoder = STREAMED_CASES[case]
         k = data.draw(st.integers(1, min(3, n)))
         ms = sorted(data.draw(st.sets(st.integers(1, 150), min_size=1, max_size=12)))
-        outcome = run_trial(TrialConfig(model, n, k, ms[-1], decoder, seed), index, ms)
+        config = TrialConfig(model, n, k, ms[-1], decoder, seed)
+        outcome = run_trial(config, index, ms)
         decode_fn = quantize_then_decode if decoder == "quantize" else topk_correlation_decode
-        base = derive_trial_stream(seed, index)
-        x = random_signal(n, k, base.substream(harness.ROLE_SIGNAL))
+        trial = harness._TopkTrial(config, index, ms[-1])
+        truth = random_signal(n, k, derive_trial_stream(seed, index).substream(harness.ROLE_SIGNAL))
+        assert trial.truth.tolist() == list(truth.support)
         for m, success in zip(ms, outcome.successes):
-            A = gen_sensing_matrix(m, n, base.substream(harness.ROLE_MATRIX))
-            result = decode_fn(A, measure(A, x, model, base.substream(harness.ROLE_NOISE)), k)
-            assert success == (result.support_set() == frozenset(x.support))
+            result = _decode_scores(decode_fn, trial.scores(m), k)
+            assert success == (result.support_set() == frozenset(truth.support))
         assert outcome.decoded_support == tuple(result.support)
 
     @pytest.mark.parametrize("case", sorted(STREAMED_CASES))
-    def test_verdicts_do_not_depend_on_the_block_size(self, monkeypatch, case):
+    def test_verdicts_do_not_depend_on_the_grid(self, case):
         model, decoder = STREAMED_CASES[case]
         config = TrialConfig(model, 48, 3, 200, decoder, master_seed=66)
         dense = list(range(1, 201))
-        # sparse marks, marks on either side of the 64- and 128-row block edges
+        # sparse marks, marks on either side of powers of two (skeleton forward nodes)
         grids = ([1, 100, 200], [63, 64, 65, 127, 128, 129, 200], [130, 200], [200])
-        default = decode._BLOCK_ROWS
-        seen = []
-        for block_rows in (1, 3, default):
-            monkeypatch.setattr(decode, "_BLOCK_ROWS", block_rows)
-            outcomes = [run_trial(config, i, dense) for i in range(6)]
-            for i, outcome in enumerate(outcomes):
-                for ms in grids:
-                    got = run_trial(config, i, ms)
-                    assert got.successes == tuple(outcome.successes[m - 1] for m in ms)
-                    assert got.decoded_support == outcome.decoded_support
-            seen.append(outcomes)
-        assert seen[0] == seen[1] == seen[2]
-        assert any(0 < sum(o.successes) < len(dense) for o in seen[0])
+        outcomes = [run_trial(config, i, dense) for i in range(6)]
+        for i, outcome in enumerate(outcomes):
+            for ms in grids:
+                got = run_trial(config, i, ms)
+                assert got.successes == tuple(outcome.successes[m - 1] for m in ms)
+                assert got.decoded_support == outcome.decoded_support
+            # a trial set up for a larger m, read in any order (as the probes
+            # of a threshold search read a kept trial), gives the same scores
+            tall = harness._TopkTrial(config, i, 1000)
+            marks = (200, 1, 129, 64, 65, 128, 3)
+            short = {m: harness._TopkTrial(config, i, m).scores(m) for m in marks}
+            for m in marks:
+                assert np.array_equal(tall.scores(m), short[m])
+                success = harness._topk_recovers(short[m][None], tall.truth)[0]
+                assert success == outcome.successes[m - 1]
+                tall.walk.keep(m)
+        assert any(0 < sum(o.successes) < len(dense) for o in outcomes)
+
+    @pytest.mark.parametrize("case", sorted(STREAMED_CASES))
+    def test_verdicts_do_not_depend_on_the_block_size(self, monkeypatch, case):
+        # successes counted over blocks of 1, 3 or all 6 trials, each trial set up
+        # afresh, kept, or kept while there is room for just one, are the
+        # per-trial verdicts summed; later probes read what earlier ones kept
+        model, decoder = STREAMED_CASES[case]
+        config = TrialConfig(model, 48, 3, 200, decoder, master_seed=66)
+        ms = (1, 63, 64, 65, 127, 128, 129, 200)
+        verdicts = [run_trial(config, i, ms).successes for i in range(6)]
+        assert any(0 < sum(v) < len(ms) for v in verdicts)
+        whole, one_trial = harness._KEPT_BYTES, harness._walk_footprint(config.m, config.n)
+        for block in (1, 3, 6):
+            for keep, room in ((False, whole), (True, whole), (True, one_trial)):
+                monkeypatch.setattr(harness, "_KEPT_BYTES", room)
+                try:
+                    for probe in (ms, ms[2:5], ms[:1], ms):
+                        parts = [
+                            harness._block_counts(config, probe, a, a + block, keep)
+                            for a in range(0, 6, block)
+                        ]
+                        got = [sum(column) for column in zip(*parts)]
+                        assert got == [sum(v[ms.index(m)] for v in verdicts) for m in probe]
+                finally:
+                    harness._kept = None
 
     def test_trial_fits_where_its_matrix_would_not(self, monkeypatch):
-        # with 8 MiB of memory a 2000 x 1024 matrix (16 MiB) does not fit, but
-        # its row blocks do: the sweep runs without holding it, and an MLE
-        # trial, which does hold its matrix, is refused
+        # with 8 MiB of memory a 2000 x 1024 matrix (16 MiB) does not fit, but a
+        # top-k trial never draws it: the sweep runs, and an MLE trial, which
+        # does hold its matrix, is refused
         _no_pool(monkeypatch)
         real, fake = harness.os.sysconf, {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}
         monkeypatch.setattr(harness.os, "sysconf", lambda name: fake.get(name) or real(name))
@@ -329,6 +425,138 @@ class TestStreamedTrials:
         assert peak < 4 * 2**20
         with pytest.raises(ValueError, match="memory"):
             sweep(replace(config, model=Linear(1.0), decoder="mle"), [2000], 2)
+
+    def test_memory_refusal_follows_the_trials_footprint(self, monkeypatch):
+        # a top-k trial is refused exactly when its statistics and skeleton
+        # nodes need more than the machine has, before anything is drawn
+        _no_pool(monkeypatch)
+        config = TrialConfig(OneBit(1.0), 4096, 4, 3000, master_seed=68)
+        need = harness._walk_footprint(3000, 4096)
+        assert need < config.m * config.n * 8 // 10  # far below the matrix
+        memory = {"SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: memory[name])
+        memory["SC_PHYS_PAGES"] = need - 1
+        draws = _counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match="top-k trial of 4096 columns at m=3000 needs"):
+            sweep(config, [1000, 3000], 2)
+        assert draws == []
+        memory["SC_PHYS_PAGES"] = need
+        tracemalloc.start()
+        try:
+            sweep(config, [1000, 3000], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == 2
+        assert peak <= need
+
+    def test_paper_scale_sweep_is_quick(self):
+        # n = 50,000 and k = 1000 as in the paper's bounds; the matrix at
+        # m = 20,000 would be 10^9 entries (8 GB), the statistics are ~30 MB
+        config = TrialConfig(OneBit(1.0), 50_000, 1000, 20_000, master_seed=69)
+        start = time.perf_counter()
+        result = sweep(config, [5_000, 10_000, 20_000], 2)
+        elapsed = time.perf_counter() - start
+        assert [row.trials for row in result.rows] == [2, 2, 2]
+        assert elapsed < 5.0
+
+
+# The exact law of the sufficient statistics, against the matrix engine and
+# closed forms.  They can fail: an engine that drops the (I - 11^T/k)
+# projection, runs the linear arm on the clock m, mis-scales a bridge
+# variance or a forward step, or puts the bridge mean at the midpoint of
+# the nodes rather than of the clock fails them (see CHANGES.md).
+
+def _matrix_verdicts(config, trial_index, ms):
+    """Verdicts at each m of a trial drawn as a full matrix and decoded by the
+    library's decoders on each prefix (the reference the engine replaces)."""
+    base = derive_trial_stream(config.master_seed, trial_index)
+    x = random_signal(config.n, config.k, base.substream(harness.ROLE_SIGNAL))
+    A = gen_sensing_matrix(ms[-1], config.n, base.substream(harness.ROLE_MATRIX))
+    y = measure(A, x, config.model, base.substream(harness.ROLE_NOISE))
+    decode_fn = quantize_then_decode if config.decoder == "quantize" else topk_correlation_decode
+    truth = frozenset(x.support)
+    return [
+        decode_fn(SensingMatrix(A.entries[:m]), MeasurementVector(y.model, y.values[:m]), config.k)
+        .support_set() == truth
+        for m in ms
+    ]
+
+
+def _two_proportion_z(a: int, b: int, trials: int) -> float:
+    pooled = (a + b) / (2 * trials)
+    se = math.sqrt(2 * pooled * (1 - pooled) / trials)
+    return 0.0 if se == 0.0 else (a - b) / trials / se
+
+
+# (model, decoder, marks) at n = 32, k = 2: rates between about 0.2 and 0.9
+LAW_CASES = {
+    "linear-topk": (Linear(1.0), "topk", [20, 45, 90]),
+    "linear-quantize": (Linear(1.0), "quantize", [30, 60, 120]),
+    "onebit-topk": (OneBit(1.0), "topk", [30, 60, 120]),
+    "logistic-topk": (Logistic(2.0), "topk", [30, 60, 120]),
+    "logistic-inf-topk": (Logistic(math.inf), "topk", [20, 45, 90]),
+}
+
+
+class TestExactLaw:
+    def test_skeleton_is_a_brownian_motion_on_its_clock(self):
+        # the n columns are independent walks, so 20,000 columns sample the
+        # joint law of nodes 1..16, whose covariance must be v(min(c, c'));
+        # the uneven clock (with flat stretches) keeps bridge weights off 1/2
+        steps = [2.0, 0.1, 0.0, 0.0, 5.0, 1.0, 0.5, 3.0, 0.01, 4.0, 4.0, 0.0, 2.0, 7.0, 0.3, 1.0]
+        clock = np.concatenate(([0.0], np.cumsum(steps)))
+        n = 20_000
+        walk = harness._Skeleton(RngStream(7400, 0), n, clock)
+        W = np.array([walk(c) for c in range(1, 17)])
+        v = clock[1:]
+        expected = np.minimum.outer(v, v)
+        se = np.sqrt((np.outer(v, v) + expected**2) / n)
+        z = (W @ W.T / n - expected) / np.where(se > 0, se, 1.0)
+        assert np.all(np.abs(z) <= 5.0), np.abs(z).max()
+        assert np.array_equal(walk(3), walk(2)) and np.array_equal(walk(4), walk(2))  # v flat
+
+    @pytest.mark.parametrize("case", sorted(LAW_CASES))
+    def test_success_rates_match_the_matrix_engine(self, case):
+        model, decoder, ms = LAW_CASES[case]
+        trials = 2000
+        engine = TrialConfig(model, 32, 2, ms[-1], decoder, master_seed=7100)
+        reference = replace(engine, master_seed=7200)  # independent trials
+        fast = sweep(engine, ms, trials).rows
+        slow = np.sum([_matrix_verdicts(reference, i, ms) for i in range(trials)], axis=0)
+        assert any(0.15 < row.success_rate < 0.85 for row in fast)
+        for row, successes in zip(fast, slow):
+            z = _two_proportion_z(row.successes, int(successes), trials)
+            assert abs(z) <= 4.0, f"m={row.m}: {row.successes} vs {successes} of {trials}"
+
+    @pytest.mark.parametrize("model", [Linear(1.0), OneBit(1.0)], ids=["linear", "onebit"])
+    def test_score_moments_at_a_bridge_node(self, model):
+        # scores at m = 45 (a bridge midpoint of the skeleton) against the
+        # moments of s_j = sum_i y_i A_ij with a drawn matrix: per row, with
+        # k = 3, sigma2 = 1, a = E[y A_j] and j != l on the support,
+        #   linear:  a = 1, Var(y A_j) = 3 + (k - 1 + sigma2) - 1, Cov(y A_j, y A_l) = 2 - 1,
+        #            off-support E[y^2] = k + sigma2
+        #   one-bit: a = sqrt(2/pi)/sqrt(k + sigma2), Var = 1 - a^2, Cov = -a^2, off-support 1
+        k, sigma2, m, trials = 3, 1.0, 45, 4000
+        config = TrialConfig(model, 16, k, m, master_seed=7300)
+        if model.tag == "linear":
+            a, var, cov, off = 1.0, k + sigma2 + 1.0, 1.0, k + sigma2
+        else:
+            a = link_slope(model, k)
+            var, cov, off = 1.0 - a * a, -a * a, 1.0
+        stats = []
+        for i in range(trials):
+            trial = harness._TopkTrial(config, i, m)
+            scores = trial.scores(m)
+            inside = scores[trial.truth] - m * a
+            outside = np.delete(scores, trial.truth)
+            pairs = [inside[p] * inside[q] for p, q in itertools.combinations(range(k), 2)]
+            stats.append([inside.mean(), np.mean(inside**2), np.mean(pairs), np.mean(outside**2)])
+        stats = np.array(stats)
+        z = (stats.mean(axis=0) - [0.0, m * var, m * cov, m * off]) / (
+            stats.std(axis=0, ddof=1) / math.sqrt(trials)
+        )
+        assert np.all(np.abs(z) <= 4.0), z
 
 
 def test_every_traced_target_resolves():

@@ -24,7 +24,9 @@ from binsense.model import (
     measure,
     model_tag,
     noise_param,
+    observe,
     random_signal,
+    sample_projections,
     sign_pm1,
 )
 from binsense.numerics import RngStream
@@ -53,7 +55,7 @@ class TestModelSpecs:
         assert model_tag(Logistic(2.0)) == "logistic"
         assert noise_param(OneBit(4.0)) == 4.0
         assert noise_param(Logistic(0.5)) == 0.5
-        # the registry order is the replay file's channel tag
+        # the registry order is the order the CLI lists the channels in
         assert [c.tag for c in CHANNELS] == ["linear", "onebit", "logistic"]
         assert [c.noise_name for c in CHANNELS] == ["sigma2", "sigma2", "beta"]
         assert [c.binary for c in CHANNELS] == [False, True, True]
@@ -209,30 +211,37 @@ class TestMeasure:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
-        blocks=st.lists(st.integers(1, 20), min_size=1, max_size=8),
+        m=st.integers(1, 40),
         n=st.integers(1, 30),
         k_frac=st.floats(0.0, 1.0),
         sigma2=st.floats(0.0, 100.0),
         beta=st.floats(0.01, 100.0),
     )
-    def test_block_continued_draws_are_slices_of_the_full_draw(
-        self, seed, blocks, n, k_frac, sigma2, beta
-    ):
-        # a trial drawn and measured a row block at a time, each role from one
-        # live generator, is the slices of the trial drawn whole; blocks of a
-        # single row included, so t must not depend on the number of rows
+    def test_measure_observes_the_projection(self, seed, m, n, k_frac, sigma2, beta):
+        # measure is the channel applied to t = A x, summed in support order
         x = random_signal(n, max(1, round(k_frac * n)), RngStream(seed, 0))
-        rows, noise = RngStream(seed, 1), RngStream(seed, 2)
-        full = gen_sensing_matrix(sum(blocks), n, rows)
+        A = gen_sensing_matrix(m, n, RngStream(seed, 1))
+        t = np.zeros(m)
+        for j in x.support:
+            t = t + A.entries[:, j]
         for model in (Linear(sigma2), OneBit(sigma2), Logistic(beta), Logistic(math.inf)):
-            row_source, noise_source = rows.generator(), noise.generator()
-            parts = []
-            for size in blocks:
-                A = gen_sensing_matrix(size, n, rows, source=row_source)
-                parts.append((A.entries, measure(A, x, model, noise, source=noise_source).values))
-            assert np.array_equal(np.concatenate([a for a, _ in parts]), full.entries)
-            whole = measure(full, x, model, noise).values
-            assert np.array_equal(np.concatenate([y for _, y in parts]), whole)
+            y = measure(A, x, model, RngStream(seed, 2))
+            assert y.model == model
+            assert np.array_equal(y.values, observe(t, model, RngStream(seed, 2)).values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), m=st.integers(1, 60), extra=st.integers(0, 60),
+           k=st.integers(1, 50))
+    def test_projections_are_prefix_stable(self, seed, m, extra, k):
+        small = sample_projections(m, k, RngStream(seed, 1))
+        assert np.array_equal(small, sample_projections(m + extra, k, RngStream(seed, 1))[:m])
+
+    def test_projections_have_the_law_of_a_x(self):
+        # t = <A_i, x> ~ N(0, k): check the variance and the fourth moment 3 k^2
+        t = sample_projections(200_000, 7, RngStream(5, 1))
+        assert abs(t.mean()) <= 4 * math.sqrt(7 / 200_000)
+        assert t.var() == pytest.approx(7.0, rel=0.02)
+        assert np.mean(t**4) == pytest.approx(3 * 49.0, rel=0.05)
 
     def test_projection_adds_support_columns_in_index_order(self):
         # one row and many support columns: numpy's row sum would go pairwise here

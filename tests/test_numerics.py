@@ -157,14 +157,25 @@ class TestSampleGaussian:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
-        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+        slices=st.lists(
+            st.tuples(st.integers(0, 700), st.integers(1, 300)), min_size=1, max_size=8
+        ),
+        reuse=st.booleans(),
     )
-    def test_continued_draws_are_slices_of_one_draw(self, seed, sizes):
-        # draws from one live generator pick up where the last one stopped
+    def test_continued_draws_are_slices_of_one_draw(self, seed, slices, reuse):
+        # draws at any start, in any order (backwards, repeated, mid-step),
+        # are the slices of one draw from the start of the stream
         stream = RngStream(seed, 3)
-        source = stream.generator()
-        pieces = [sample_gaussian(stream, size, source=source) for size in sizes]
-        assert np.array_equal(np.concatenate(pieces), sample_gaussian(stream, sum(sizes)))
+        whole = sample_gaussian(stream, 1000)
+        if reuse:  # consecutive slices continue where the last draw stopped
+            slices = slices + [(start + count, 5) for start, count in slices]
+        for start, count in slices:
+            got = sample_gaussian(stream, count, start=start)
+            assert np.array_equal(got, whole[start : start + count])
+
+    def test_start_validation(self):
+        with pytest.raises(ValueError):
+            sample_gaussian(RngStream(0), 3, start=-1)
 
     def test_uniform_map_endpoints(self):
         # the smallest and largest 53-bit uniforms land strictly inside (0, 1),
