@@ -26,10 +26,12 @@ one-bit trial bit for bit.  MLE trials draw the whole matrix once, at
 the largest m, and judge every smaller m from row-ordered prefix sums
 (:func:`~binsense.decode.mle_prefix_decode`); draws are prefix-stable
 (see :mod:`binsense.numerics`), so each verdict is the one a trial drawn
-at that m alone gets.  One process pool serves a whole call; each worker
-runs a contiguous block of trials, and a threshold search asks the pool
-for the m its bisection visits only, its workers keeping each top-k
-trial set up between probes.
+at that m alone gets.  A call runs in the calling process unless its
+trial work is large enough for a second worker to pay for its start;
+then each worker process counts a fixed contiguous block of trials for
+the whole call.  A threshold search counts only the m its bisection
+visits, and keeps each top-k trial set up between probes in the one
+process that counts it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -308,7 +310,8 @@ def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
             scores = trial.scores(m)
             successes.append(bool(_topk_recovers(scores[None], trial.truth)[0]))
             trial.walk.keep(m)
-        decoded = _top_k_indices(scores, config.k)
+        # a success at config.m decodes the true support (see _topk_recovers)
+        decoded = trial.truth if successes[-1] else _top_k_indices(scores, config.k)
         return TrialOutcome(tuple(successes), tuple(int(i) for i in decoded))
     base = derive_trial_stream(config.master_seed, trial_index)
     x = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL))
@@ -348,9 +351,36 @@ def _block_counts(
     return counts.tolist()
 
 
-def _worker_count(workers: int, trials: int) -> int:
-    """Processes to start: the request, capped by the trial count and by
-    the CPUs this process may run on."""
+# A second worker pays for its fork, its pool's start and a round trip a
+# probe only when a call's work (see _work) reaches _POOL_START plus
+# _POOL_PROBE a probe; below that the call runs in the calling process.
+# Measured with 1 and 2 workers on a 2-vCPU host (see CHANGES.md): top-k
+# sweeps broke even at about 1.3 Mi normals, searches of 13 probes at
+# about 6 Mi, and MLE sweeps at 3.5-4 Mi candidate rows, so a candidate
+# row counts as a third of a normal.
+_POOL_START = 0.9 * 2**20
+_POOL_PROBE = 0.4 * 2**20
+_MLE_ROW_COST = 1 / 3
+
+
+def _work(config: TrialConfig, trials: int, marks: int, probes: int) -> float:
+    """Work of ``probes`` counts of trials [0, trials), each at ``marks`` m
+    up to config.m, in normals drawn.  A top-k trial draws its projections,
+    noise and forward steps once, and at most one path of bridge nodes a
+    read; an MLE trial scores every candidate on every row once a probe."""
+    if config.decoder == "mle":
+        return trials * probes * _MLE_ROW_COST * math.comb(config.n, config.k) * config.m
+    length = _skeleton_length(config.m)
+    levels = length.bit_length()
+    return trials * (2 * length + config.n * levels * (1 + probes * marks))
+
+
+def _worker_count(workers: int, trials: int, work: float, probes: int) -> int:
+    """Processes to use: one below the break-even work of ``probes``
+    counts, else the request, capped by the trial count and by the CPUs
+    this process may run on."""
+    if work < _POOL_START + probes * _POOL_PROBE:
+        return 1
     return max(1, min(workers, trials, len(os.sched_getaffinity(0))))
 
 
@@ -382,30 +412,39 @@ def _check_memory(config: TrialConfig) -> None:
 
 
 @contextmanager
-def _counter(config: TrialConfig, trials: int, workers: int, keep: bool = False):
+def _counter(config: TrialConfig, trials: int, workers: int, marks: int, probes: int = 1):
     """Yield ``counts(ms)``: successes at every m of the ascending ``ms``
-    (none above config.m) over trial indices [0, trials).
+    (none above config.m) over trial indices [0, trials), for a call that
+    expects to ask ``probes`` times for ``marks`` m.
 
-    One pool serves every call of ``counts``, each worker a fixed
-    contiguous block of trials, and the blocks' counts are summed, so
-    they are identical for any worker count.  With ``keep`` the workers
-    keep their top-k trials between calls (see :func:`_block_counts`).
+    A call below the break-even work (:func:`_worker_count`) runs in this
+    process.  A larger one gives each of up to ``workers`` processes a
+    fixed contiguous block of trials, for every ``counts``, and sums the
+    blocks' counts, so they are identical for any worker count.  A call
+    of several probes keeps each process's top-k trials between them (see
+    :func:`_block_counts`).
     """
     global _kept
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     _check_memory(config)
-    workers = _worker_count(workers, trials)
+    keep = probes > 1
+    workers = _worker_count(workers, trials, _work(config, trials, marks, probes), probes)
     try:
         if workers == 1:
             yield lambda ms: _block_counts(config, ms, 0, trials, keep)
             return
         edges = [round(i * trials / workers) for i in range(workers + 1)]
         blocks = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ExitStack() as stack:
+            # a single-process pool a block, so each kept trial lives in one process
+            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in blocks]
 
             def counts(ms: tuple) -> list:
-                futures = [pool.submit(_block_counts, config, ms, a, b, keep) for a, b in blocks]
+                futures = [
+                    pool.submit(_block_counts, config, ms, a, b, keep)
+                    for pool, (a, b) in zip(pools, blocks)
+                ]
                 return [sum(column) for column in zip(*(f.result() for f in futures))]
 
             yield counts
@@ -415,7 +454,7 @@ def _counter(config: TrialConfig, trials: int, workers: int, keep: bool = False)
 
 def _success_counts(config: TrialConfig, ms: tuple, trials: int, workers: int) -> list:
     """Successes at every m in the ascending ``ms`` over trial indices [0, trials)."""
-    with _counter(replace(config, m=ms[-1]), trials, workers) as counts:
+    with _counter(replace(config, m=ms[-1]), trials, workers, len(ms)) as counts:
         return counts(ms)
 
 
@@ -540,11 +579,10 @@ def estimate_m95(
 
     The bracket is validated first: the rate at m_hi must clear the
     threshold, else the search has no target and a BracketError is
-    raised.  Each probe counts the same trials at its m, through one
-    process pool that serves the whole search, and only the m the
-    bisection visits are ever counted; every verdict is a function of
-    (trial, m) alone, so the returned value is deterministic given the
-    master seed.  The transition is steep (all-or-nothing behavior),
+    raised.  Each probe counts the same trials at its m, in the same
+    processes for the whole search, and only the m the bisection visits
+    are ever counted; every verdict is a function of (trial, m) alone,
+    so the returned value is deterministic given the master seed.  The transition is steep (all-or-nothing behavior),
     which is what makes bisection on a noisy but effectively monotone
     curve reliable.
     """
@@ -554,7 +592,8 @@ def estimate_m95(
         raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
     cache = {}
     probes = []
-    with _counter(replace(config, m=m_hi), trials, workers, keep=True) as counts:
+    most = 2 + (m_hi - m_lo - 1).bit_length()  # the bracket's ends, then a probe a halving
+    with _counter(replace(config, m=m_hi), trials, workers, 1, most) as counts:
 
         def rate(m: int) -> float:
             if m not in cache:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsense import decode
 from binsense.decode import (
@@ -75,6 +77,27 @@ class TestTopkDecoder:
         lhs = result.scores[x.support_array].sum()
         rhs = y.values @ (A.entries @ x.dense())
         assert abs(lhs - rhs) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 12), n=st.integers(1, 8))
+    def test_scores_decompose_over_rows(self, data, m, n):
+        # on integer data every sum is exact: the scores y.A are sum_j y_j A_j,
+        # the scores of any row split add up, and they weigh any signal as <y, A x>
+        entries = data.draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n))
+        A = np.array(entries, dtype=np.float64).reshape(m, n)
+        y = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)), float)
+        scores = topk_correlation_decode(SensingMatrix(A), _linear(y), 1).scores
+        assert np.array_equal(scores, sum(y[j] * A[j] for j in range(m)))
+        cut = data.draw(st.integers(1, m))
+        parts = [
+            topk_correlation_decode(SensingMatrix(A[rows]), _linear(y[rows]), 1).scores
+            for rows in (slice(0, cut), slice(cut, m)) if A[rows].shape[0]
+        ]
+        assert np.array_equal(scores, sum(parts))
+        support = data.draw(st.sets(st.integers(0, n - 1)))
+        x = np.zeros(n)
+        x[list(support)] = 1.0
+        assert scores[sorted(support)].sum() == y @ (A @ x)
 
     def test_scale_invariance_of_selection(self):
         x = random_signal(20, 3, RngStream(5, 0))
@@ -149,6 +172,36 @@ class TestMleDecoder:
         A = SensingMatrix(np.array([[1.0, 1.0, 0.0]]))
         result = mle_decode_linear(A, _linear([1.0]), 1)
         assert np.array_equal(result.support, [0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 6),
+        n=st.integers(1, 7),
+        block=st.sampled_from([1, 5, 1 << 13]),
+    )
+    def test_ties_go_to_the_lexicographically_first_support(self, data, m, n, block):
+        # entries in {-1, 0, 1} and integer outputs make exact residual ties
+        # common; the answer at every prefix is the first minimum in
+        # lexicographic order, found here by exact integer arithmetic
+        k = data.draw(st.integers(1, min(3, n)))
+        A = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=m * n, max_size=m * n)))
+        A = A.reshape(m, n)
+        y = data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        expected = []
+        for rows in range(1, m + 1):
+            best, best_rss = None, None
+            for support in itertools.combinations(range(n), k):
+                fit = A[:rows, list(support)].sum(axis=1).tolist()
+                rss = sum((y[i] - fit[i]) ** 2 for i in range(rows))
+                if best is None or rss < best_rss:
+                    best, best_rss = support, rss
+            expected.append(list(best))
+        As, ys = SensingMatrix(A.astype(np.float64)), _linear(y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decode, "_MLE_BLOCK", block)
+            assert mle_prefix_decode(As, ys, k, range(1, m + 1)).tolist() == expected
+            assert mle_decode_linear(As, ys, k).support.tolist() == expected[-1]
 
     def test_permutation_equivariance(self):
         x = random_signal(8, 2, RngStream(8, 0))
@@ -318,6 +371,14 @@ class TestDecimalDecoder:
         for combo in itertools.combinations(range(10), 3):
             x = SparseSignal(10, combo)
             assert tuple(decimal_roundtrip(x)) == combo
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, DECIMAL_MAX_N))
+    def test_roundtrip_over_random_supports(self, data, n):
+        support = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))))
+        x = SparseSignal(n, support)
+        assert math.ldexp(decimal_encode(x), n) == sum(1 << i for i in support)
+        assert tuple(decimal_roundtrip(x)) == support
 
     def test_row_matches_encoding(self):
         x = SparseSignal(12, (0, 5, 11))

@@ -4,11 +4,13 @@ moment checks, and the Wilson interval."""
 import ast
 import itertools
 import math
+import os
 import time
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,10 +106,10 @@ class TestCountSuccesses:
 
     def test_worker_count_capped(self, monkeypatch):
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert harness._worker_count(5000, 5000) == 3
-        assert harness._worker_count(2, 5000) == 2
-        assert harness._worker_count(5000, 2) == 2
-        assert harness._worker_count(0, 10) == 1
+        assert harness._worker_count(5000, 5000, math.inf, 1) == 3
+        assert harness._worker_count(2, 5000, math.inf, 1) == 2
+        assert harness._worker_count(5000, 2, math.inf, 1) == 2
+        assert harness._worker_count(0, 10, math.inf, 1) == 1
 
     def test_pool_never_larger_than_cpus(self, monkeypatch):
         # a stand-in pool runs the blocks inline, so no process is started
@@ -129,10 +131,11 @@ class TestCountSuccesses:
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        _pool_for_any_work(monkeypatch)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
         config = TrialConfig(OneBit(1.0), 32, 2, 30, master_seed=5)
         assert count_successes(config, 9, workers=5000) == count_successes(config, 9)
-        assert sizes == [2]
+        assert sizes == [1, 1]  # a single-process pool a block
 
 
 def _no_pool(monkeypatch):
@@ -140,6 +143,11 @@ def _no_pool(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+
+
+def _pool_for_any_work(monkeypatch):
+    monkeypatch.setattr(harness, "_POOL_START", 0.0)
+    monkeypatch.setattr(harness, "_POOL_PROBE", 0.0)
 
 
 def _counting_draws(monkeypatch):
@@ -182,6 +190,106 @@ PREFIX_CASES = {
 }
 
 
+# (config, marks or bracket, trials) of the benchmark's units and of
+# criterion 4's searches
+BENCH_SWEEP = (TrialConfig(Linear(1.0), 512, 8, 700), (700, 1000, 1400, 2000, 2800), 10)
+BENCH_SEARCH = (TrialConfig(OneBit(4.0), 512, 8, 50), (50, 1000), 30)
+BENCH_MLE = (TrialConfig(Linear(0.25), 20, 3, 10, decoder="mle"), (10, 20, 40), 80)
+
+
+class TestWorkRule:
+    """A call runs in the calling process unless a second worker pays for itself."""
+
+    def test_worker_count_follows_the_break_even(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)))
+        for probes in (1, 2, 13):
+            even = harness._POOL_START + probes * harness._POOL_PROBE
+            assert harness._worker_count(8, 100, even - 1, probes) == 1
+            assert harness._worker_count(8, 100, even, probes) == 8
+            assert harness._worker_count(8, 3, even, probes) == 3
+            assert harness._worker_count(1, 100, even, probes) == 1
+        # each probe of a search is a round trip, so a search needs more work
+        work = harness._POOL_START + 1.5 * harness._POOL_PROBE
+        assert harness._worker_count(8, 100, work, 1) == 8
+        assert harness._worker_count(8, 100, work, 2) == 1
+
+    @pytest.mark.parametrize("model", [Linear(1.0), OneBit(2.0)], ids=["linear", "onebit"])
+    def test_work_bounds_the_normals_drawn(self, monkeypatch, model):
+        # a top-k call's work is the normals it draws, counted from above
+        drawn = []
+        sample = model_module.sample_gaussian
+        monkeypatch.setattr(
+            model_module,
+            "sample_gaussian",
+            lambda stream, count, **kw: drawn.append(count) or sample(stream, count, **kw),
+        )
+        config = TrialConfig(model, 96, 3, 20, master_seed=70)
+        grid = (20, 50, 129, 300)
+        sweep(config, grid, 6)
+        work = harness._work(replace(config, m=300), 6, len(grid), 1)
+        assert sum(drawn) <= work <= 3 * sum(drawn)
+        drawn.clear()
+        probes = 2 + (600 - 20 - 1).bit_length()  # the most a search of [20, 600] asks
+        assert len(estimate_m95(config, 6, 20, 600, threshold=0.5).probes) <= probes
+        work = harness._work(replace(config, m=600), 6, 1, probes)
+        assert sum(drawn) <= work <= 3 * sum(drawn)
+
+    def test_small_calls_start_no_pool(self, monkeypatch):
+        # the benchmark's units run in this process, however many workers are asked for
+        _no_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)))
+        config, grid, trials = BENCH_SWEEP
+        sweep(config, grid, trials, workers=8)
+        sweep(replace(config, decoder="quantize"), grid, trials, workers=8)
+        config, (m_lo, m_hi), trials = BENCH_SEARCH
+        estimate_m95(config, trials, m_lo, m_hi, workers=8)
+        config, grid, trials = BENCH_MLE
+        sweep(config, grid, trials, workers=8)
+
+    def test_paper_scale_calls_keep_their_pool(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        for m_lo, m_hi in ((50, 700), (50, 1000), (50, 2000)):  # criterion 4
+            config = TrialConfig(OneBit(0.0), 512, 8, m_hi)
+            probes = 2 + (m_hi - m_lo - 1).bit_length()
+            assert harness._worker_count(2, 400, harness._work(config, 400, 1, probes), probes) == 2
+        config = TrialConfig(OneBit(1.0), 50_000, 1000, 20_000)
+        assert harness._worker_count(2, 20, harness._work(config, 20, 3, 1), 1) == 2
+
+    def test_two_processes_return_the_serial_counts(self, monkeypatch, tmp_path):
+        # with the break-even at zero every call of two workers splits its
+        # trials over two real processes (forked, so the patches below hold
+        # there too); a search's kept trials are each set up once, in the
+        # process that counts their block
+        _pool_for_any_work(monkeypatch)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        log = tmp_path / "setups"
+        setup = harness._TopkTrial.__init__
+
+        def logged(trial, config, trial_index, m_max):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {trial_index}\n")
+            setup(trial, config, trial_index, m_max)
+
+        monkeypatch.setattr(harness._TopkTrial, "__init__", logged)
+        topk, grid = PREFIX_CASES["topk"]
+        mle, mle_grid = PREFIX_CASES["mle"]
+        calls = [
+            lambda w: sweep(topk, grid, 9, workers=w),
+            lambda w: sweep(mle, mle_grid, 9, workers=w),
+            lambda w: estimate_m95(mle, 9, 3, 40, threshold=0.5, workers=w),
+            lambda w: estimate_m95(topk, 9, 10, 300, workers=w),
+        ]
+        serial = [call(1) for call in calls]
+        assert {line.split()[0] for line in log.read_text().splitlines()} == {str(os.getpid())}
+        assert [call(2) for call in calls[:-1]] == serial[:-1]
+        log.unlink()
+        assert calls[-1](2) == serial[-1]
+        setups = [line.split() for line in log.read_text().splitlines()]
+        blocks = {pid: sorted(int(i) for p, i in setups if p == pid) for pid, _ in setups}
+        assert str(os.getpid()) not in blocks
+        assert sorted(blocks.values()) == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
+
+
 class TestPrefixTrials:
     """Each trial is set up once and judged at every m asked for."""
 
@@ -215,6 +323,41 @@ class TestPrefixTrials:
         support = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
         expected = np.array_equal(harness._top_k_indices(scores, k), support)
         assert harness._topk_recovers(scores[None, :].copy(), support)[0] == expected
+
+    @staticmethod
+    def _judge_scores(first, last, truth):
+        """run_trial on a stand-in trial whose scores at marks 1 and 2 are given;
+        returns its outcome and the decoder's pick at each mark."""
+        scores = {1: np.asarray(first, float), 2: np.asarray(last, float)}
+        truth = np.asarray(truth)
+        trial = SimpleNamespace(
+            truth=truth, scores=lambda m: scores[m].copy(), walk=SimpleNamespace(keep=lambda m: None)
+        )
+        config = TrialConfig(OneBit(1.0), len(last), truth.size, 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_topk_trial", lambda config, trial_index: trial)
+            outcome = run_trial(config, 0, (1, 2))
+        picks = [harness._top_k_indices(scores[m], truth.size) for m in (1, 2)]
+        assert outcome.successes == tuple(np.array_equal(p, truth) for p in picks)
+        return outcome, picks
+
+    @pytest.mark.parametrize("truth,success", [([0, 1], True), ([1, 2], False)])
+    def test_decoded_support_on_a_tie(self, truth, success):
+        outcome, picks = self._judge_scores([1, 1, 1, 0], [1, 1, 1, 0], truth)
+        assert outcome.success == success
+        assert outcome.decoded_support == (0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10))
+    def test_decoded_support_is_the_top_k_of_the_final_scores(self, data, n):
+        # small integer scores make ties common; succeeded or not, the decoded
+        # support is the decoder's pick at the last mark
+        draw = lambda: data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        first, last = draw(), draw()
+        k = data.draw(st.integers(1, n))
+        truth = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
+        outcome, picks = self._judge_scores(first, last, truth)
+        assert outcome.decoded_support == tuple(picks[-1].tolist())
 
     def test_probes_equal_count_successes(self):
         config = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)

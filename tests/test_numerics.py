@@ -166,7 +166,7 @@ class TestSampleGaussian:
         # draws at any start, in any order (backwards, repeated, mid-step),
         # are the slices of one draw from the start of the stream
         stream = RngStream(seed, 3)
-        whole = sample_gaussian(stream, 1000)
+        whole = sample_gaussian(stream, 1005)  # the last continued slice ends at 1005
         if reuse:  # consecutive slices continue where the last draw stopped
             slices = slices + [(start + count, 5) for start, count in slices]
         for start, count in slices:
