@@ -15,12 +15,16 @@ exact Gaussian conditioning: with t_i = <A_i, x> ~ N(0, k) drawn directly
 (matrix role) and y from the channel (noise role), the off-support scores
 are independent Gaussian walks W_j run on the clock v(m) = sum_{i<m} y_i^2,
 and the support scores are (sum_{i<m} y_i t_i / k) 1 + (I - 11^T/k) W_S.
-The walks are evaluated on a fixed dyadic skeleton (:class:`_Skeleton`):
+The walks are evaluated on a fixed dyadic skeleton (:class:`_TopkBlock`):
 forward steps to each power of two, Brownian-bridge midpoints between
 them, each node's normals a fixed range of the trial's walk or bridge
 stream, so W at m is a function of (trial, m) alone, costs about
 2 log2(m) nodes of n normals, and a count never depends on the grid, the
-bracket, or which other m were asked for.  The quantize arm signs y and
+bracket, or which other m were asked for.  Trials are set up and judged
+a block at a time: a block stacks its trials' statistics a row each and
+builds each node once for all of them, as a (trials x n) array, with
+every row's normals drawn from that trial's own streams, so a row is
+the trial set up alone, bit for bit.  The quantize arm signs y and
 keeps t, the noise and the node normals, so quantize-on-linear is the
 one-bit trial bit for bit.  MLE trials draw the whole matrix once, at
 the largest m, and judge every smaller m from row-ordered prefix sums
@@ -30,8 +34,8 @@ at that m alone gets.  A call runs in the calling process unless its
 trial work is large enough for a second worker to pay for its start;
 then each worker process counts a fixed contiguous block of trials for
 the whole call.  A threshold search counts only the m its bisection
-visits, and keeps each top-k trial set up between probes in the one
-process that counts it.
+visits, and keeps each block of top-k trials set up between probes in
+the one process that counts it.
 """
 
 from __future__ import annotations
@@ -159,64 +163,97 @@ class TrialOutcome:
         return self.successes[-1]
 
 
-def _topk_recovers(scores: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """For each row of ``scores``, whether its k largest entries are ``support``.
+def _topk_recovers(scores: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """For each row of ``scores``, whether its k largest entries are the
+    same row of ``supports``.
 
     They are when the smallest support score exceeds every other score;
     on an exact tie the decoder's own tie rule decides.
     """
-    inside = scores[:, support]
+    inside = np.take_along_axis(scores, supports, axis=1)
     low = inside.min(axis=1)
-    scores[:, support] = -np.inf
+    np.put_along_axis(scores, supports, -np.inf, axis=1)
     high = scores.max(axis=1)
-    scores[:, support] = inside
+    np.put_along_axis(scores, supports, inside, axis=1)
     ok = low > high
     for j in np.flatnonzero(low == high):
-        ok[j] = np.array_equal(_top_k_indices(scores[j], support.size), support)
+        ok[j] = np.array_equal(_top_k_indices(scores[j], supports.shape[1]), supports[j])
     return ok
 
 
-class _Skeleton:
-    """The n score walks of one top-k trial, read on a fixed dyadic skeleton.
+def _skeleton_length(m: int) -> int:
+    """Outputs a top-k trial read up to m draws: up to the node m is bridged to."""
+    return 1 << (m - 1).bit_length()
 
-    W is an n-vector standard Gaussian walk run on the trial's clock
-    (``clock[m]`` = v(m), ``clock[0]`` = 0), and node c >= 1 is W(v(c)).
+
+class _TopkBlock:
+    """Top-k (or quantize) trials [start, stop), set up to be read at any
+    m <= ``m_max``, a row per trial.
+
+    Holds the scores' sufficient statistics: the true supports ``truth``,
+    the running sums ``drift[:, m - 1]`` = sum_{i<m} y_i t_i, and the n
+    score walks on the clocks ``clock[:, m]`` = v(m) = sum_{i<m} y_i^2.
+
+    A walk W is an n-vector standard Gaussian walk run on its trial's
+    clock, read on a fixed dyadic skeleton: node c >= 1 is W(v(c)).
     Powers of two are forward steps: node 2^j adds sqrt(v(2^j) - v(2^(j-1)))
     times normals j of the walk stream (samples [j n, (j + 1) n)) to node
     2^(j-1), from W = 0.  Any other c is the Brownian-bridge midpoint of
     nodes c - h and c + h, h the lowest set bit of c, with normals c of the
     bridge stream (samples [c n, (c + 1) n)) and the bridge's mean and
-    variance taken on the clock (Levy's construction).  Every node is thus
+    variance taken on the clock (Levy's construction); a trial whose clock
+    is flat there copies node c - h and draws nothing.  Every node is thus
     a fixed function of its own normals and those it is built from,
-    whichever nodes were read before.
+    whichever nodes were read before.  Each row's normals are drawn from
+    its own trial's streams and all arithmetic is elementwise, so a row is
+    bit for bit the trial set up alone.
     """
 
-    def __init__(self, base: RngStream, n: int, clock: np.ndarray) -> None:
-        levels = (len(clock) - 1).bit_length()  # powers of two up to the clock's end
-        # drawn through model's sampler, like every other draw of a trial
-        steps = _model.sample_gaussian(base.substream(ROLE_WALK), levels * n).reshape(levels, n)
+    def __init__(self, config: TrialConfig, start: int, stop: int, m_max: int) -> None:
+        length = _skeleton_length(m_max)
+        levels = length.bit_length()  # powers of two up to the clock's end
+        n, rows = config.n, stop - start
+        bases = [derive_trial_stream(config.master_seed, i) for i in range(start, stop)]
+        truth = np.empty((rows, config.k), dtype=np.int64)
+        t, y = np.empty((rows, length)), np.empty((rows, length))
+        steps = np.empty((rows, levels, n))
+        for row, base in enumerate(bases):
+            truth[row] = random_signal(n, config.k, base.substream(ROLE_SIGNAL)).support_array
+            t[row] = sample_projections(length, config.k, base.substream(ROLE_MATRIX))
+            out = observe(t[row], config.model, base.substream(ROLE_NOISE))
+            y[row] = (quantize(out) if config.decoder == "quantize" else out).values
+            # drawn through model's sampler, like every other draw of a trial
+            normals = _model.sample_gaussian(base.substream(ROLE_WALK), levels * n)
+            steps[row] = normals.reshape(levels, n)
+        self.truth, self.n = truth, n
+        self.drift = np.cumsum(y * t, axis=1)
+        self.clock = np.zeros((rows, length + 1))
+        np.cumsum(y * y, axis=1, out=self.clock[:, 1:])
         powers = 1 << np.arange(levels)
-        steps *= np.sqrt(clock[powers] - clock[powers >> 1])[:, None]
-        self.forward = np.cumsum(steps, axis=0)  # row j is node 2^j; rows add in order
-        self.bridge = base.substream(ROLE_BRIDGE)
-        self.n, self.clock = n, clock
+        steps *= np.sqrt(self.clock[:, powers] - self.clock[:, powers >> 1])[:, :, None]
+        self.forward = np.cumsum(steps, axis=1, out=steps)  # [:, j] is node 2^j; adds in order
+        self.bridges = [base.substream(ROLE_BRIDGE) for base in bases]
         self.nodes = {}
 
-    def __call__(self, c: int) -> np.ndarray:
+    def walk(self, c: int) -> np.ndarray:
+        """Node c of every row's walk, as (rows, n)."""
         h = c & -c
         if h == c:
-            return self.forward[h.bit_length() - 1]
+            return self.forward[:, h.bit_length() - 1]
         w = self.nodes.get(c)
         if w is None:
-            lo, hi = self(c - h), self(c + h)
+            lo, hi = self.walk(c - h), self.walk(c + h)
             v = self.clock
-            left, span = v[c] - v[c - h], v[c + h] - v[c - h]
-            if span > 0.0:
-                normals = _model.sample_gaussian(self.bridge, self.n, start=c * self.n)
-                w = lo + (left / span) * (hi - lo)
-                w += math.sqrt(left * (v[c + h] - v[c]) / span) * normals
-            else:
-                w = lo.copy()
+            left, span = v[:, c] - v[:, c - h], v[:, c + h] - v[:, c - h]
+            moving = span > 0.0
+            normals = np.zeros((len(v), self.n))
+            for row in np.flatnonzero(moving):
+                normals[row] = _model.sample_gaussian(self.bridges[row], self.n, start=c * self.n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = lo + (left / span)[:, None] * (hi - lo)
+                w += np.sqrt(left * (v[:, c + h] - v[:, c]) / span)[:, None] * normals
+            if not moving.all():
+                w[~moving] = lo[~moving]
             self.nodes[c] = w
         return w
 
@@ -235,58 +272,25 @@ class _Skeleton:
                 todo += (c - h, c + h)
         self.nodes = {c: w for c, w in self.nodes.items() if c in path}
 
-
-def _skeleton_length(m: int) -> int:
-    """Outputs a top-k trial read up to m draws: up to the node m is bridged to."""
-    return 1 << (m - 1).bit_length()
-
-
-class _TopkTrial:
-    """One top-k (or quantize) trial, set up to be read at any m <= ``m_max``.
-
-    Holds the scores' sufficient statistics: the true support, the running
-    sum sum_{i<m} y_i t_i, and the walks on the clock v(m) = sum_{i<m} y_i^2.
-    """
-
-    def __init__(self, config: TrialConfig, trial_index: int, m_max: int) -> None:
-        self.m_max = m_max
-        base = derive_trial_stream(config.master_seed, trial_index)
-        self.truth = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL)).support_array
-        t = sample_projections(_skeleton_length(m_max), config.k, base.substream(ROLE_MATRIX))
-        y = observe(t, config.model, base.substream(ROLE_NOISE))
-        y = (quantize(y) if config.decoder == "quantize" else y).values
-        self.drift = np.cumsum(y * t)
-        self.walk = _Skeleton(base, config.n, np.concatenate(([0.0], np.cumsum(y * y))))
-
     def scores(self, m: int) -> np.ndarray:
-        """The n correlation scores of the first m outputs, as a fresh array:
-        the walk off the support; on it, the drift along 1 plus the walk
-        projected off 1."""
+        """The n correlation scores of the first m outputs, a row per trial,
+        as a fresh array: the walk off the support; on it, the drift along 1
+        plus the walk projected off 1."""
         scores = self.walk(m).copy()
-        inside = scores[self.truth]
-        scores[self.truth] = self.drift[m - 1] / self.truth.size + (inside - inside.mean())
+        inside = np.take_along_axis(scores, self.truth, axis=1)
+        inside -= inside.mean(axis=1, keepdims=True)
+        inside += self.drift[:, m - 1, None] / self.truth.shape[1]
+        np.put_along_axis(scores, self.truth, inside, axis=1)
         return scores
 
 
-# Top-k trials kept by a threshold search between its probes, in each
-# process that counts them (see _block_counts); None outside a search.
+# Top-k trial blocks kept by a threshold search between its probes, in
+# each process that counts them (see _block_counts); None outside a search.
 # A pure cache: a trial reads the same scores however it was set up.
 _kept = None
 
-# bytes of kept trials one process may hold
+# bytes of top-k trials one process may set up at once, and may keep
 _KEPT_BYTES = 64 * 2**20
-
-
-def _kept_key(config: TrialConfig, trial_index: int) -> tuple:
-    return (config.model, config.n, config.k, config.decoder, config.master_seed, trial_index)
-
-
-def _topk_trial(config: TrialConfig, trial_index: int) -> _TopkTrial:
-    """A kept trial set up for at least config.m, else one set up afresh."""
-    trial = _kept.get(_kept_key(config, trial_index)) if _kept else None
-    if trial is None or trial.m_max < config.m:
-        trial = _TopkTrial(config, trial_index, config.m)
-    return trial
 
 
 def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
@@ -295,23 +299,23 @@ def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
 
     ``ms`` is strictly ascending and ends at config.m; the default is
     just config.m.  Top-k and quantize trials are judged from the scores'
-    sufficient statistics (:class:`_TopkTrial`), with no matrix drawn;
-    MLE trials draw the whole matrix at config.m.  Either way the verdict
-    at m is a function of (config, trial_index, m) alone.
+    sufficient statistics (a :class:`_TopkBlock` of one trial), with no
+    matrix drawn; MLE trials draw the whole matrix at config.m.  Either
+    way the verdict at m is a function of (config, trial_index, m) alone.
     """
     ms = (config.m,) if ms is None else tuple(int(m) for m in ms)
     if not ms or ms[-1] != config.m:
         raise ValueError(f"ms must end at config.m={config.m}, got {ms}")
     _check_prefixes(ms, config.m)
     if config.decoder != "mle":
-        trial = _topk_trial(config, trial_index)
+        block = _TopkBlock(config, trial_index, trial_index + 1, config.m)
         successes = []
         for m in ms:
-            scores = trial.scores(m)
-            successes.append(bool(_topk_recovers(scores[None], trial.truth)[0]))
-            trial.walk.keep(m)
+            scores = block.scores(m)
+            successes.append(bool(_topk_recovers(scores, block.truth)[0]))
+            block.keep(m)
         # a success at config.m decodes the true support (see _topk_recovers)
-        decoded = trial.truth if successes[-1] else _top_k_indices(scores, config.k)
+        decoded = block.truth[0] if successes[-1] else _top_k_indices(scores[0], config.k)
         return TrialOutcome(tuple(successes), tuple(int(i) for i in decoded))
     base = derive_trial_stream(config.master_seed, trial_index)
     x = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL))
@@ -331,23 +335,36 @@ def _block_counts(
     """Successes at every m of the ascending ``ms`` (none above config.m)
     over trials [start, stop).
 
-    With ``keep``, top-k trials are set up once for config.m and kept,
-    while there is room, for the later calls of the same search: a worker
-    process ends with its pool, and :func:`_counter` drops the trials kept
-    in its own process.
+    Top-k trials are set up and judged in blocks, as many at once as
+    ``_KEPT_BYTES`` holds at their set-up peak (:func:`_walk_footprint`).
+    With ``keep``, blocks are set up for config.m and kept, while there is
+    room for what they hold (:func:`_held_bytes`), for the later calls of
+    the same search: a worker process ends with its pool, and
+    :func:`_counter` drops the blocks kept in its own process.
     """
     global _kept
+    counts = np.zeros(len(ms), dtype=np.int64)
+    if config.decoder == "mle":
+        judged = replace(config, m=ms[-1])
+        for i in range(start, stop):
+            counts += run_trial(judged, i, ms).successes
+        return counts.tolist()
     if keep and _kept is None:
         _kept = {}
-    room = _KEPT_BYTES // _walk_footprint(config.m, config.n)
-    judged = replace(config, m=ms[-1])
-    counts = np.zeros(len(ms), dtype=np.int64)
-    for i in range(start, stop):
-        if keep and config.decoder != "mle":
-            key = _kept_key(config, i)
-            if key not in _kept and len(_kept) < room:
-                _kept[key] = _TopkTrial(config, i, config.m)
-        counts += run_trial(judged, i, ms).successes
+    chunk = max(1, _KEPT_BYTES // _walk_footprint(config.m, config.n))
+    room = _KEPT_BYTES // _held_bytes(config.m, config.n)
+    for a in range(start, stop, chunk):
+        b = min(a + chunk, stop)
+        key = (config, a, b)
+        block = _kept.get(key) if keep else None
+        if block is None:
+            fits = keep and sum(len(kept.truth) for kept in _kept.values()) + b - a <= room
+            block = _TopkBlock(config, a, b, config.m if fits else ms[-1])
+            if fits:
+                _kept[key] = block
+        for j, m in enumerate(ms):
+            counts[j] += np.count_nonzero(_topk_recovers(block.scores(m), block.truth))
+            block.keep(m)
     return counts.tolist()
 
 
@@ -385,11 +402,20 @@ def _worker_count(workers: int, trials: int, work: float, probes: int) -> int:
 
 
 def _walk_footprint(m: int, n: int) -> int:
-    """Bytes a top-k trial read up to m holds: about seven arrays of its
-    skeleton's length (t, noise, outputs, clock, drift and temporaries)
-    and the nodes of two reads' paths, each n long, plus a few score vectors."""
+    """Bytes a top-k trial read up to m holds at its peak: about seven
+    arrays of its skeleton's length (t, noise, outputs, clock, drift and
+    temporaries) and the nodes of two reads' paths, each n long, plus a
+    few score vectors."""
     length = _skeleton_length(m)
     return (7 * length + (4 * length.bit_length() + 10) * n) * 8
+
+
+def _held_bytes(m: int, n: int) -> int:
+    """Bytes a top-k trial kept for reads up to m holds between them: its
+    drift and clock, its forward nodes and one read's path of midpoints
+    (at most levels - 2 of them), each n long, and its support and streams."""
+    length = _skeleton_length(m)
+    return (2 * length + (2 * length.bit_length() + 1) * n) * 8 + 2048
 
 
 def _check_memory(config: TrialConfig) -> None:

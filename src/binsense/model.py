@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 from scipy.special import expit
 
-from .numerics import RngStream, sample_gaussian, sample_indices, std_normal_cdf
+from .numerics import RngStream, _uniforms, sample_gaussian, sample_indices, std_normal_cdf
 
 __all__ = [
     "Linear",
@@ -268,7 +268,7 @@ def observe(t: np.ndarray, model: Model, stream: RngStream) -> MeasurementVector
         if math.isinf(model.beta):
             return MeasurementVector(model, sign_pm1(t))
         p = expit(model.beta * t)
-        u = stream.generator().random(m)
+        u = _uniforms(stream, m)
         return MeasurementVector(model, np.where(u < p, 1.0, -1.0))
 
     raise TypeError(f"not a measurement model: {model!r}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,22 @@ def _open_interval(u: np.ndarray) -> np.ndarray:
     return u
 
 
+# One generator per thread, re-keyed for every draw read from the start of
+# a stream: setting a Philox state costs about a tenth of building one,
+# whose unseeded constructor reads OS entropy that the key then replaces.
+_scratch = threading.local()
+
+
+def _uniforms(stream: RngStream, count: int) -> np.ndarray:
+    """The stream's first ``count`` uniforms: ``stream.generator().random(count)``."""
+    if not hasattr(_scratch, "generator"):
+        _scratch.generator = np.random.Generator(np.random.Philox(key=0))
+        _scratch.fresh = _scratch.generator.bit_generator.state  # counter 0, nothing buffered
+    _scratch.fresh["state"]["key"] = np.array([stream.master_seed, stream.stream_id], np.uint64)
+    _scratch.generator.bit_generator.state = _scratch.fresh
+    return _scratch.generator.random(count)
+
+
 class _Cursor:
     """A live generator of one stream and the index of its next uniform."""
 
@@ -182,7 +199,7 @@ def sample_gaussian(stream: RngStream, count: int, *, start: int = 0) -> np.ndar
     moved into the open interval (0, 1).  Sample i depends on uniform i
     alone, so a shorter draw is always a prefix of a longer one, and a
     draw at ``start`` is that slice of one draw from the beginning.  A
-    draw from the start takes a fresh generator; a draw elsewhere moves
+    draw from the start re-keys a reused generator; a draw elsewhere moves
     the stream object's one live generator to ``start`` by Philox's
     counter, so reading a slice costs no more than its own samples.
     """
@@ -191,7 +208,7 @@ def sample_gaussian(stream: RngStream, count: int, *, start: int = 0) -> np.ndar
     if not isinstance(start, int) or start < 0:
         raise ValueError(f"start must be a nonnegative integer, got {start!r}")
     if start == 0:
-        u = stream.generator().random(count)
+        u = _uniforms(stream, count)
     else:
         cursor = stream._cursor
         u = cursor.seek(start).random(count)
@@ -210,7 +227,7 @@ def sample_indices(stream: RngStream, n: int, k: int) -> np.ndarray:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    u = stream.generator().random(k)
+    u = _uniforms(stream, k)
     idx = np.arange(n, dtype=np.int64)
     for i in range(k):
         j = i + int(u[i] * (n - i))

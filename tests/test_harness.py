@@ -42,7 +42,7 @@ from binsense.model import (
     measure,
     random_signal,
 )
-from binsense.numerics import RngStream, derive_trial_stream
+from binsense.numerics import TRIAL_STREAM_SLOTS, RngStream, derive_trial_stream
 
 
 class TestTrialConfig:
@@ -174,6 +174,17 @@ def _role(config, trial_index, role):
     return derive_trial_stream(config.master_seed, trial_index).substream(role)
 
 
+def _outputs_with_clock_steps(monkeypatch, steps_of):
+    """Make each top-k trial's outputs y_i = sqrt(steps_of(trial)[i]), so that
+    its clock v(m) adds up the given steps and stays flat where they are 0."""
+
+    def observe(t, model, stream):
+        trial = stream.stream_id // TRIAL_STREAM_SLOTS
+        return MeasurementVector(model, np.sqrt(np.asarray(steps_of(trial), float)[: len(t)]))
+
+    monkeypatch.setattr(harness, "observe", observe)
+
+
 def _decode_scores(decode_fn, scores, k):
     """The decoder run on a 1 x n matrix whose correlation scores are ``scores``."""
     return decode_fn(SensingMatrix(scores[None]), MeasurementVector(Linear(0.0), np.ones(1)), k)
@@ -263,14 +274,14 @@ class TestWorkRule:
         _pool_for_any_work(monkeypatch)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
         log = tmp_path / "setups"
-        setup = harness._TopkTrial.__init__
+        setup = harness._TopkBlock.__init__
 
-        def logged(trial, config, trial_index, m_max):
+        def logged(block, config, start, stop, m_max):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {trial_index}\n")
-            setup(trial, config, trial_index, m_max)
+                fh.writelines(f"{os.getpid()} {i}\n" for i in range(start, stop))
+            setup(block, config, start, stop, m_max)
 
-        monkeypatch.setattr(harness._TopkTrial, "__init__", logged)
+        monkeypatch.setattr(harness._TopkBlock, "__init__", logged)
         topk, grid = PREFIX_CASES["topk"]
         mle, mle_grid = PREFIX_CASES["mle"]
         calls = [
@@ -315,14 +326,20 @@ class TestPrefixTrials:
         assert sweep(config, [m], 8).rows == (row,)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 12))
-    def test_topk_verdict_matches_the_decoders_tie_rule(self, data, n):
-        # small integer scores make exact ties between support and off-support common
-        scores = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), float)
+    @given(data=st.data(), n=st.integers(1, 12), rows=st.integers(1, 5))
+    def test_topk_verdict_matches_the_decoders_tie_rule(self, data, n, rows):
+        # small integer scores make exact ties between support and off-support
+        # common; each row is judged against its own support
+        line = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        scores = np.array(data.draw(st.lists(line, min_size=rows, max_size=rows)), float)
         k = data.draw(st.integers(1, n))
-        support = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
-        expected = np.array_equal(harness._top_k_indices(scores, k), support)
-        assert harness._topk_recovers(scores[None, :].copy(), support)[0] == expected
+        subset = st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(sorted)
+        supports = np.array(data.draw(st.lists(subset, min_size=rows, max_size=rows)))
+        picks = [harness._top_k_indices(row, k) for row in scores]
+        expected = [np.array_equal(p, support) for p, support in zip(picks, supports)]
+        judged = scores.copy()
+        assert harness._topk_recovers(judged, supports).tolist() == expected
+        assert np.array_equal(judged, scores)  # the scores are left as they were
 
     @staticmethod
     def _judge_scores(first, last, truth):
@@ -330,12 +347,12 @@ class TestPrefixTrials:
         returns its outcome and the decoder's pick at each mark."""
         scores = {1: np.asarray(first, float), 2: np.asarray(last, float)}
         truth = np.asarray(truth)
-        trial = SimpleNamespace(
-            truth=truth, scores=lambda m: scores[m].copy(), walk=SimpleNamespace(keep=lambda m: None)
+        block = SimpleNamespace(
+            truth=truth[None], scores=lambda m: scores[m][None].copy(), keep=lambda m: None
         )
         config = TrialConfig(OneBit(1.0), len(last), truth.size, 2)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "_topk_trial", lambda config, trial_index: trial)
+            patch.setattr(harness, "_TopkBlock", lambda config, start, stop, m_max: block)
             outcome = run_trial(config, 0, (1, 2))
         picks = [harness._top_k_indices(scores[m], truth.size) for m in (1, 2)]
         assert outcome.successes == tuple(np.array_equal(p, truth) for p in picks)
@@ -393,9 +410,9 @@ class TestPrefixTrials:
                 y = measure(A, x, config.model, _role(config, i, harness.ROLE_NOISE))
                 result, truth = decode(A, y, config.k), frozenset(x.support)
             else:
-                trial = harness._TopkTrial(config, i, config.m)
-                result = _decode_scores(decode, trial.scores(config.m), config.k)
-                truth = frozenset(trial.truth.tolist())
+                block = harness._TopkBlock(config, i, i + 1, config.m)
+                result = _decode_scores(decode, block.scores(config.m)[0], config.k)
+                truth = frozenset(block.truth[0].tolist())
             assert outcome.decoded_support == tuple(result.support)
             assert outcome.success == (result.support_set() == truth)
 
@@ -414,10 +431,13 @@ class TestPrefixTrials:
         # each trial is set up once, at m_hi, and read only at the probed m
         draws = _counting_draws(monkeypatch)
         reads = []
-        scores = harness._TopkTrial.scores
-        monkeypatch.setattr(
-            harness._TopkTrial, "scores", lambda trial, m: reads.append(m) or scores(trial, m)
-        )
+        scores = harness._TopkBlock.scores
+
+        def counted_scores(block, m):
+            reads.extend([m] * len(block.truth))
+            return scores(block, m)
+
+        monkeypatch.setattr(harness._TopkBlock, "scores", counted_scores)
         config = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)
         result = estimate_m95(config, 9, 10, 300, workers=1)
         assert len(result.probes) > 1
@@ -491,11 +511,11 @@ class TestStreamedTrials:
         config = TrialConfig(model, n, k, ms[-1], decoder, seed)
         outcome = run_trial(config, index, ms)
         decode_fn = quantize_then_decode if decoder == "quantize" else topk_correlation_decode
-        trial = harness._TopkTrial(config, index, ms[-1])
+        block = harness._TopkBlock(config, index, index + 1, ms[-1])
         truth = random_signal(n, k, derive_trial_stream(seed, index).substream(harness.ROLE_SIGNAL))
-        assert trial.truth.tolist() == list(truth.support)
+        assert block.truth[0].tolist() == list(truth.support)
         for m, success in zip(ms, outcome.successes):
-            result = _decode_scores(decode_fn, trial.scores(m), k)
+            result = _decode_scores(decode_fn, block.scores(m)[0], k)
             assert success == (result.support_set() == frozenset(truth.support))
         assert outcome.decoded_support == tuple(result.support)
 
@@ -514,29 +534,34 @@ class TestStreamedTrials:
                 assert got.decoded_support == outcome.decoded_support
             # a trial set up for a larger m, read in any order (as the probes
             # of a threshold search read a kept trial), gives the same scores
-            tall = harness._TopkTrial(config, i, 1000)
+            tall = harness._TopkBlock(config, i, i + 1, 1000)
             marks = (200, 1, 129, 64, 65, 128, 3)
-            short = {m: harness._TopkTrial(config, i, m).scores(m) for m in marks}
+            short = {m: harness._TopkBlock(config, i, i + 1, m).scores(m) for m in marks}
             for m in marks:
                 assert np.array_equal(tall.scores(m), short[m])
-                success = harness._topk_recovers(short[m][None], tall.truth)[0]
+                success = harness._topk_recovers(short[m], tall.truth)[0]
                 assert success == outcome.successes[m - 1]
-                tall.walk.keep(m)
+                tall.keep(m)
         assert any(0 < sum(o.successes) < len(dense) for o in outcomes)
 
     @pytest.mark.parametrize("case", sorted(STREAMED_CASES))
     def test_verdicts_do_not_depend_on_the_block_size(self, monkeypatch, case):
-        # successes counted over blocks of 1, 3 or all 6 trials, each trial set up
-        # afresh, kept, or kept while there is room for just one, are the
-        # per-trial verdicts summed; later probes read what earlier ones kept
+        # successes counted over blocks of 1, 3 or all 6 trials, each judged in
+        # chunks of them all, of 2 or of 1, set up afresh, kept, or kept while
+        # there is room for just one trial, are the per-trial verdicts summed;
+        # later probes read what earlier ones kept
         model, decoder = STREAMED_CASES[case]
         config = TrialConfig(model, 48, 3, 200, decoder, master_seed=66)
         ms = (1, 63, 64, 65, 127, 128, 129, 200)
         verdicts = [run_trial(config, i, ms).successes for i in range(6)]
         assert any(0 < sum(v) < len(ms) for v in verdicts)
         whole, one_trial = harness._KEPT_BYTES, harness._walk_footprint(config.m, config.n)
+        held = harness._held_bytes(config.m, config.n)
+        assert held < one_trial
+        rooms = ((False, whole), (True, whole), (False, 2 * one_trial), (True, 2 * one_trial))
+        rooms += ((True, one_trial), (True, held))  # chunks of 1; room for several, or one
         for block in (1, 3, 6):
-            for keep, room in ((False, whole), (True, whole), (True, one_trial)):
+            for keep, room in rooms:
                 monkeypatch.setattr(harness, "_KEPT_BYTES", room)
                 try:
                     for probe in (ms, ms[2:5], ms[:1], ms):
@@ -548,6 +573,41 @@ class TestStreamedTrials:
                         assert got == [sum(v[ms.index(m)] for v in verdicts) for m in probe]
                 finally:
                     harness._kept = None
+
+    def test_a_block_is_its_trials_set_up_one_at_a_time(self, monkeypatch):
+        # rows on different clocks, some flat over a stretch, build every node,
+        # read every score and draw every bridge normal as each trial set up alone
+        def steps_of(trial):
+            steps = np.random.default_rng(trial).exponential(size=32)
+            steps[3 * trial : 3 * trial + 5 * (trial % 2)] = 0.0  # odd trials stall
+            return steps
+
+        _outputs_with_clock_steps(monkeypatch, steps_of)
+        drawn = []
+        sample = model_module.sample_gaussian
+        monkeypatch.setattr(
+            model_module,
+            "sample_gaussian",
+            lambda stream, count, **kw: drawn.append((stream, kw)) or sample(stream, count, **kw),
+        )
+        config = TrialConfig(Linear(0.0), 24, 3, 32, master_seed=7500)
+        block = harness._TopkBlock(config, 0, 7, 32)
+        singles = [harness._TopkBlock(config, i, i + 1, 32) for i in range(7)]
+        clocks = block.clock
+        assert len({tuple(v) for v in clocks}) == 7
+        assert all(np.any(np.diff(v) == 0.0) == (i % 2 == 1) for i, v in enumerate(clocks))
+        draws = lambda: sorted((stream.stream_id, kw["start"]) for stream, kw in drawn)
+        stalled = []
+        for c in range(1, 33):
+            drawn.clear()
+            w = block.walk(c)
+            together = draws()
+            drawn.clear()
+            assert np.array_equal(w, np.concatenate([t.walk(c) for t in singles]))
+            assert together == draws()
+            stalled.append(0 < len(together) < 7)
+            assert np.array_equal(block.scores(c), np.concatenate([t.scores(c) for t in singles]))
+        assert any(stalled)  # a row whose clock is flat across a node draws nothing for it
 
     def test_trial_fits_where_its_matrix_would_not(self, monkeypatch):
         # with 8 MiB of memory a 2000 x 1024 matrix (16 MiB) does not fit, but a
@@ -592,6 +652,25 @@ class TestStreamedTrials:
             tracemalloc.stop()
         assert len(draws) == 2
         assert peak <= need
+
+    def test_a_kept_block_holds_its_held_bytes(self):
+        # a search keeps blocks while their _held_bytes fit; between reads a
+        # kept block holds no more than that, and sets up within its footprint
+        config = TrialConfig(OneBit(4.0), 512, 8, 1000, master_seed=72)
+        harness._TopkBlock(config, 0, 1, config.m)  # lazy set-up outside the count
+        tracemalloc.start()
+        try:
+            block = harness._TopkBlock(config, 0, 30, config.m)
+            setup_peak = tracemalloc.get_traced_memory()[1]
+            held = []
+            for m in (1000, 525, 287, 168, 228, 258, 243, 250, 254, 252, 253):  # a bisection
+                harness._topk_recovers(block.scores(m), block.truth)
+                block.keep(m)
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert max(held) <= 30 * harness._held_bytes(config.m, config.n)
+        assert setup_peak <= 30 * harness._walk_footprint(config.m, config.n)
 
     def test_paper_scale_sweep_is_quick(self):
         # n = 50,000 and k = 1000 as in the paper's bounds; the matrix at
@@ -643,21 +722,23 @@ LAW_CASES = {
 
 
 class TestExactLaw:
-    def test_skeleton_is_a_brownian_motion_on_its_clock(self):
+    def test_skeleton_is_a_brownian_motion_on_its_clock(self, monkeypatch):
         # the n columns are independent walks, so 20,000 columns sample the
         # joint law of nodes 1..16, whose covariance must be v(min(c, c'));
         # the uneven clock (with flat stretches) keeps bridge weights off 1/2
         steps = [2.0, 0.1, 0.0, 0.0, 5.0, 1.0, 0.5, 3.0, 0.01, 4.0, 4.0, 0.0, 2.0, 7.0, 0.3, 1.0]
-        clock = np.concatenate(([0.0], np.cumsum(steps)))
+        _outputs_with_clock_steps(monkeypatch, lambda trial_index: steps)
         n = 20_000
-        walk = harness._Skeleton(RngStream(7400, 0), n, clock)
-        W = np.array([walk(c) for c in range(1, 17)])
+        block = harness._TopkBlock(TrialConfig(Linear(0.0), n, 1, 16, master_seed=7400), 0, 1, 16)
+        clock = block.clock[0]
+        assert np.allclose(clock[1:], np.cumsum(steps)) and np.all(clock[3:5] == clock[2])
+        W = np.array([block.walk(c)[0] for c in range(1, 17)])
         v = clock[1:]
         expected = np.minimum.outer(v, v)
         se = np.sqrt((np.outer(v, v) + expected**2) / n)
         z = (W @ W.T / n - expected) / np.where(se > 0, se, 1.0)
         assert np.all(np.abs(z) <= 5.0), np.abs(z).max()
-        assert np.array_equal(walk(3), walk(2)) and np.array_equal(walk(4), walk(2))  # v flat
+        assert np.array_equal(W[2], W[1]) and np.array_equal(W[3], W[1])  # v flat
 
     @pytest.mark.parametrize("case", sorted(LAW_CASES))
     def test_success_rates_match_the_matrix_engine(self, case):
@@ -688,11 +769,10 @@ class TestExactLaw:
             a = link_slope(model, k)
             var, cov, off = 1.0 - a * a, -a * a, 1.0
         stats = []
-        for i in range(trials):
-            trial = harness._TopkTrial(config, i, m)
-            scores = trial.scores(m)
-            inside = scores[trial.truth] - m * a
-            outside = np.delete(scores, trial.truth)
+        block = harness._TopkBlock(config, 0, trials, m)
+        for scores, truth in zip(block.scores(m), block.truth):
+            inside = scores[truth] - m * a
+            outside = np.delete(scores, truth)
             pairs = [inside[p] * inside[q] for p, q in itertools.combinations(range(k), 2)]
             stats.append([inside.mean(), np.mean(inside**2), np.mean(pairs), np.mean(outside**2)])
         stats = np.array(stats)

@@ -16,6 +16,7 @@ from scipy.special import ndtri
 from binsense.numerics import (
     RngStream,
     _open_interval,
+    _uniforms,
     binary_entropy,
     derive_trial_stream,
     sample_gaussian,
@@ -172,6 +173,29 @@ class TestSampleGaussian:
         for start, count in slices:
             got = sample_gaussian(stream, count, start=start)
             assert np.array_equal(got, whole[start : start + count])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 2**64 - 1),
+                st.integers(1, 300),
+                st.integers(0, 300),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_rekeyed_uniforms_are_a_fresh_generators(self, draws):
+        # the one reused generator carries nothing (key, counter, a part-used
+        # step) from one draw to the next; draws at a start read the same stream
+        for seed, stream_id, count, start in draws:
+            stream = RngStream(seed, stream_id)
+            fresh = stream.generator().random(start + count)
+            assert np.array_equal(_uniforms(stream, count), fresh[:count])
+            got = sample_gaussian(stream, count, start=start)
+            assert np.array_equal(got, ndtri(_open_interval(fresh[start:])))
 
     def test_start_validation(self):
         with pytest.raises(ValueError):
