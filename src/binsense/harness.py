@@ -142,7 +142,9 @@ class TrialConfig:
                 f"got {self.model.tag}"
             )
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed <= _U64_MAX):
-            raise ValueError(f"master_seed must be an unsigned 64-bit integer")
+            raise ValueError(
+                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -171,10 +171,9 @@ def random_signal(n: int, k: int, stream: RngStream) -> SparseSignal:
 
 @dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """Dense m x n float64 sensing matrix, with seed provenance when random."""
+    """Dense m x n float64 sensing matrix."""
 
     entries: np.ndarray
-    stream: RngStream | None = None
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.entries, dtype=np.float64)
@@ -200,7 +199,7 @@ def gen_sensing_matrix(m: int, n: int, stream: RngStream) -> SensingMatrix:
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
         raise ValueError(f"m and n must be positive integers, got m={m!r}, n={n!r}")
     entries = sample_gaussian(stream, m * n).reshape(m, n)
-    return SensingMatrix(entries, stream)
+    return SensingMatrix(entries)
 
 
 def sample_projections(m: int, k: int, stream: RngStream) -> np.ndarray:

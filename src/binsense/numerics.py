@@ -19,15 +19,16 @@ first c samples of a stream are the same whether c or more are drawn.
 A matrix drawn row by row at m rows is therefore the first m rows of the
 matrix at any larger m, which lets one draw serve every smaller m.  A
 draw may also start anywhere in its stream (``start``): Philox is
-counter-based, so reading samples [s, s + c) costs c samples whatever s
-is, which lets the Monte Carlo harness give each node of a trial's
-Brownian skeleton a fixed range of one stream and draw only the nodes it
-needs, in any order.
+counter-based, so every draw sets the counter to the step that holds
+uniform s and drops the uniforms of that step before s.  Reading samples
+[s, s + c) thus costs c samples whatever s is, and no stream object holds
+a generator, which lets the Monte Carlo harness give each node of a
+trial's Brownian skeleton a fixed range of one stream and draw only the
+nodes it needs, in any order.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -75,12 +76,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    @functools.cached_property
-    def _cursor(self) -> "_Cursor":
-        # one live generator per stream object, so that reading a stream
-        # in many pieces (see sample_gaussian) builds one generator, not many
-        return _Cursor(self)
 
     def substream(self, tag: int) -> "RngStream":
         """Derived stream for one role (signal/matrix/noise) within a trial.
@@ -151,45 +146,28 @@ def _open_interval(u: np.ndarray) -> np.ndarray:
     return u
 
 
-# One generator per thread, re-keyed for every draw read from the start of
-# a stream: setting a Philox state costs about a tenth of building one,
-# whose unseeded constructor reads OS entropy that the key then replaces.
+# One generator per thread, re-keyed for every draw: setting a Philox state
+# costs about a tenth of building one, whose unseeded constructor reads OS
+# entropy that the key then replaces.
 _scratch = threading.local()
 
 
-def _uniforms(stream: RngStream, count: int) -> np.ndarray:
-    """The stream's first ``count`` uniforms: ``stream.generator().random(count)``."""
+def _uniforms(stream: RngStream, count: int, start: int = 0) -> np.ndarray:
+    """Uniforms [start, start + count) of the stream.
+
+    Equal to ``stream.generator().random(start + count)[start:]``.  Philox
+    makes 4 uniforms per counter step and steps the counter before making
+    them, so the draw sets the counter to ``start // 4`` with nothing
+    buffered and drops the first ``start % 4`` uniforms of that step.
+    """
     if not hasattr(_scratch, "generator"):
         _scratch.generator = np.random.Generator(np.random.Philox(key=0))
         _scratch.fresh = _scratch.generator.bit_generator.state  # counter 0, nothing buffered
-    _scratch.fresh["state"]["key"] = np.array([stream.master_seed, stream.stream_id], np.uint64)
+    state = _scratch.fresh["state"]
+    state["key"] = np.array([stream.master_seed, stream.stream_id], np.uint64)
+    state["counter"][0] = start // 4
     _scratch.generator.bit_generator.state = _scratch.fresh
-    return _scratch.generator.random(count)
-
-
-class _Cursor:
-    """A live generator of one stream and the index of its next uniform."""
-
-    __slots__ = ("generator", "next")
-
-    def __init__(self, stream: RngStream) -> None:
-        self.generator = stream.generator()
-        self.next = 0
-
-    def seek(self, start: int) -> np.random.Generator:
-        """The generator, placed so that its next uniform is uniform ``start``.
-
-        Philox makes 4 uniforms per counter step; ``advance`` moves the
-        counter by whole steps (mod 2**256, so backwards as well) and drops
-        any uniforms left over from the current step.
-        """
-        if start != self.next:
-            step = -(-self.next // 4)  # the step the counter stands at
-            self.generator.bit_generator.advance((start // 4 - step) % 2**256)
-            if start % 4:
-                self.generator.random(start % 4)
-            self.next = start
-        return self.generator
+    return _scratch.generator.random(start % 4 + count)[start % 4 :]
 
 
 def sample_gaussian(stream: RngStream, count: int, *, start: int = 0) -> np.ndarray:
@@ -198,21 +176,15 @@ def sample_gaussian(stream: RngStream, count: int, *, start: int = 0) -> np.ndar
     Inverse CDF: sample i is ``ndtri`` of the stream's uniform start + i,
     moved into the open interval (0, 1).  Sample i depends on uniform i
     alone, so a shorter draw is always a prefix of a longer one, and a
-    draw at ``start`` is that slice of one draw from the beginning.  A
-    draw from the start re-keys a reused generator; a draw elsewhere moves
-    the stream object's one live generator to ``start`` by Philox's
-    counter, so reading a slice costs no more than its own samples.
+    draw at ``start`` is that slice of one draw from the beginning.  The
+    uniforms are read by :func:`_uniforms` straight from ``start``, so
+    reading a slice costs no more than its own samples.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    if not isinstance(start, int) or start < 0:
-        raise ValueError(f"start must be a nonnegative integer, got {start!r}")
-    if start == 0:
-        u = _uniforms(stream, count)
-    else:
-        cursor = stream._cursor
-        u = cursor.seek(start).random(count)
-        cursor.next = start + count
+    if not isinstance(start, int) or not 0 <= start < 2**66:  # start // 4 fills one counter word
+        raise ValueError(f"start must be an integer in [0, 2**66), got {start!r}")
+    u = _uniforms(stream, count, start)
     return ndtri(_open_interval(u), out=u)
 
 

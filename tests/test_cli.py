@@ -183,6 +183,19 @@ class TestExitCodes:
         assert "memory" in capsys.readouterr().err
         assert peak < 2**20
 
+    def test_seed_beyond_64_bits_refused(self, capsys, monkeypatch):
+        # the trial config rejects the seed before any trial is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr("binsense.cli.sweep", no_draw)
+        code = main(
+            ["simulate", "--model", "onebit", "--n", "16", "--k", "2", "--m", "8",
+             "--trials", "2", "--seed", "18446744073709551616"]
+        )
+        assert code == 2
+        assert "18446744073709551616" in capsys.readouterr().err
+
     def test_bounds_k_too_large(self):
         code = main(["bounds", "--model", "linear", "--n", "100", "--k", "51", "--sigma2", "1"])
         assert code == 2

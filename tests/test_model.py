@@ -360,3 +360,33 @@ def test_only_model_branches_on_channel_class():
         if path.name != "model.py"
     }
     assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def random_api_lines(path) -> tuple:
+    """Line numbers in ``path`` that name numpy.random, and that call an ``advance``."""
+    named, advanced = [], []
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if getattr(node.value, "id", None) in ("np", "numpy"):
+                named.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            if any((prefix + alias.name).startswith("numpy.random") for alias in node.names):
+                named.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            if (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "advance":
+                advanced.append(node.lineno)
+    return named, advanced
+
+
+def test_only_numerics_reads_a_random_stream():
+    # numerics reads every stream by setting Philox's counter for each draw;
+    # no other module builds a generator, and none moves one by advance
+    package = Path(binsense.__file__).parent
+    found = {
+        path.relative_to(package).as_posix(): random_api_lines(path)
+        for path in sorted(package.rglob("*.py"))
+    }
+    named = {name: lines for name, (lines, _) in found.items() if lines and name != "numerics.py"}
+    advanced = {name: lines for name, (_, lines) in found.items() if lines}
+    assert (named, advanced) == ({}, {})

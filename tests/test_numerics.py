@@ -181,7 +181,8 @@ class TestSampleGaussian:
                 st.integers(0, 2**64 - 1),
                 st.integers(0, 2**64 - 1),
                 st.integers(1, 300),
-                st.integers(0, 300),
+                # bridge node c*n passes 2**32 at n = 50,000
+                st.integers(0, 300) | st.integers(2**32, 2**40),
             ),
             min_size=1,
             max_size=6,
@@ -189,17 +190,33 @@ class TestSampleGaussian:
     )
     def test_rekeyed_uniforms_are_a_fresh_generators(self, draws):
         # the one reused generator carries nothing (key, counter, a part-used
-        # step) from one draw to the next; draws at a start read the same stream
+        # step) from one draw to the next, and reads a stream at any start
         for seed, stream_id, count, start in draws:
             stream = RngStream(seed, stream_id)
-            fresh = stream.generator().random(start + count)
-            assert np.array_equal(_uniforms(stream, count), fresh[:count])
+            fresh = stream.generator()
+            assert np.array_equal(_uniforms(stream, count), fresh.random(count))
+            fresh = stream.generator()
+            if start < 2**32:
+                expected = fresh.random(start + count)[start:]
+            else:  # too far to read through: numpy's own jump by whole steps
+                fresh.bit_generator.advance(start // 4)
+                expected = fresh.random(start % 4 + count)[start % 4 :]
+            assert np.array_equal(_uniforms(stream, count, start), expected)
             got = sample_gaussian(stream, count, start=start)
-            assert np.array_equal(got, ndtri(_open_interval(fresh[start:])))
+            assert np.array_equal(got, ndtri(_open_interval(expected)))
+
+    def test_a_stream_is_a_value(self):
+        # reading a stream at any start leaves nothing on the stream object
+        stream = RngStream(5, 9)
+        for start in (0, 7, 2**33 + 1, 3):
+            sample_gaussian(stream, 4, start=start)
+        assert vars(stream) == {"master_seed": 5, "stream_id": 9}
 
     def test_start_validation(self):
         with pytest.raises(ValueError):
             sample_gaussian(RngStream(0), 3, start=-1)
+        with pytest.raises(ValueError):
+            sample_gaussian(RngStream(0), 3, start=2**66)
 
     def test_uniform_map_endpoints(self):
         # the smallest and largest 53-bit uniforms land strictly inside (0, 1),
