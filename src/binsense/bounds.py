@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import Model, link_slope, noise_param, output_scale
+from .model import Logistic, Model, OneBit, link_slope, noise_param, output_scale
 from .numerics import binary_entropy
 
 __all__ = [
@@ -153,7 +153,7 @@ def onebit_fano_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> floa
     _check_nk(n, k)
     if sigma2 < 0.0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2!r}")
-    return (k + sigma2) / 2.0 * math.log2(n / k) * fano_correction(n, k, delta)
+    return output_scale(OneBit(sigma2), k) / 2.0 * math.log2(n / k) * fano_correction(n, k, delta)
 
 
 def logistic_fano_lower(n: int, k: int, beta: float, delta: float = 0.0) -> float:
@@ -161,8 +161,7 @@ def logistic_fano_lower(n: int, k: int, beta: float, delta: float = 0.0) -> floa
     _check_nk(n, k)
     if math.isnan(beta) or beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    inv_beta2 = 0.0 if math.isinf(beta) else 1.0 / beta ** 2
-    return (k + inv_beta2) / 2.0 * math.log2(n / k) * fano_correction(n, k, delta)
+    return output_scale(Logistic(beta), k) / 2.0 * math.log2(n / k) * fano_correction(n, k, delta)
 
 
 def linear_fano_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> float:

@@ -92,16 +92,14 @@ def _parse_grid(text: str) -> list:
     return list(range(lo, hi + 1, step))
 
 
-def _cmd_simulate(args) -> int:
-    config = TrialConfig(
-        model=_model_from_args(args),
-        n=args.n,
-        k=args.k,
-        m=args.m,
-        decoder=args.decoder,
-        master_seed=args.seed,
-        mle_budget=args.mle_budget,
+def _trial_config(args, m: int) -> TrialConfig:
+    return TrialConfig(
+        _model_from_args(args), args.n, args.k, m, args.decoder, args.seed, args.mle_budget
     )
+
+
+def _cmd_simulate(args) -> int:
+    config = _trial_config(args, args.m)
     result = sweep(config, [args.m], args.trials, workers=args.workers)
     _emit(args, result.to_csv())
     row = result.rows[0]
@@ -116,31 +114,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.m_grid)
-    config = TrialConfig(
-        model=_model_from_args(args),
-        n=args.n,
-        k=args.k,
-        m=grid[0],
-        decoder=args.decoder,
-        master_seed=args.seed,
-        mle_budget=args.mle_budget,
-    )
-    result = sweep(config, grid, args.trials, workers=args.workers)
+    result = sweep(_trial_config(args, grid[0]), grid, args.trials, workers=args.workers)
     _emit(args, result.to_csv())
     print(f"sweep: {len(result.rows)} grid points written", file=sys.stderr)
     return 0
 
 
 def _cmd_m95(args) -> int:
-    config = TrialConfig(
-        model=_model_from_args(args),
-        n=args.n,
-        k=args.k,
-        m=args.m_lo,
-        decoder=args.decoder,
-        master_seed=args.seed,
-        mle_budget=args.mle_budget,
-    )
+    config = _trial_config(args, args.m_lo)
     result = estimate_m95(
         config,
         args.trials_per_probe,

@@ -21,13 +21,15 @@ them, each node's normals a fixed range of the trial's walk or bridge
 stream, so W at m is a function of (trial, m) alone, costs about
 2 log2(m) nodes of n normals, and a count never depends on the grid, the
 bracket, or which other m were asked for.  Trials are set up and judged
-a block at a time: a block stacks its trials' statistics a row each and
-builds each node once for all of them, as a (trials x n) array, with
-every row's normals drawn from that trial's own streams, so a row is
-the trial set up alone, bit for bit.  The quantize arm signs y and
-keeps t, the noise and the node normals, so quantize-on-linear is the
-one-bit trial bit for bit.  MLE trials draw the whole matrix once, at
-the largest m, and judge every smaller m from row-ordered prefix sums
+a block at a time (:func:`_block_counts`; a single trial is a block of
+one): a block stacks its trials' statistics a row each and builds each
+node once for all of them, as a (trials x n) array, with every row's
+normals drawn from that trial's own streams, so a row is the trial set
+up alone, bit for bit.  A trial yields only its verdicts, never its
+decoded support.  The quantize arm signs y and keeps t, the noise and
+the node normals, so quantize-on-linear is the one-bit trial bit for
+bit.  MLE trials draw the whole matrix once, at the largest m, and judge
+every smaller m from row-ordered prefix sums
 (:func:`~binsense.decode.mle_prefix_decode`); draws are prefix-stable
 (see :mod:`binsense.numerics`), so each verdict is the one a trial drawn
 at that m alone gets.  A call runs in the calling process unless its
@@ -153,11 +155,10 @@ class TrialOutcome:
 
     ``successes[j]`` is True iff decoding the first ``ms[j]`` rows (see
     :func:`run_trial`) returns the true support as a set; the last m is
-    config.m, and ``decoded_support`` is the support decoded there.
+    config.m.
     """
 
     successes: tuple
-    decoded_support: tuple
 
     @property
     def success(self) -> bool:
@@ -259,13 +260,17 @@ class _TopkBlock:
             self.nodes[c] = w
         return w
 
-    def keep(self, c: int) -> None:
-        """Forget every midpoint that node c is not built from.
+    def scores(self, m: int) -> np.ndarray:
+        """The n correlation scores of the first m outputs, a row per trial,
+        as a fresh array: the walk off the support; on it, the drift along 1
+        plus the walk projected off 1.
 
+        The read then forgets every midpoint that node m is not built from.
         For ascending reads this loses nothing still needed: a node that
         two reads are built from lies on the path of every read between.
         """
-        path, todo = set(), [c]
+        scores = self.walk(m).copy()
+        path, todo = set(), [m]
         while todo:
             c = todo.pop()
             h = c & -c
@@ -273,12 +278,6 @@ class _TopkBlock:
                 path.add(c)
                 todo += (c - h, c + h)
         self.nodes = {c: w for c, w in self.nodes.items() if c in path}
-
-    def scores(self, m: int) -> np.ndarray:
-        """The n correlation scores of the first m outputs, a row per trial,
-        as a fresh array: the walk off the support; on it, the drift along 1
-        plus the walk projected off 1."""
-        scores = self.walk(m).copy()
         inside = np.take_along_axis(scores, self.truth, axis=1)
         inside -= inside.mean(axis=1, keepdims=True)
         inside += self.drift[:, m - 1, None] / self.truth.shape[1]
@@ -300,25 +299,19 @@ def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
     rows for every m in ``ms`` and compare.
 
     ``ms`` is strictly ascending and ends at config.m; the default is
-    just config.m.  Top-k and quantize trials are judged from the scores'
-    sufficient statistics (a :class:`_TopkBlock` of one trial), with no
-    matrix drawn; MLE trials draw the whole matrix at config.m.  Either
-    way the verdict at m is a function of (config, trial_index, m) alone.
+    just config.m.  A top-k or quantize trial is the one-trial block
+    [trial_index, trial_index + 1) of :func:`_block_counts`, judged from
+    the scores' sufficient statistics with no matrix drawn; an MLE trial
+    draws the whole matrix at config.m.  Either way the verdict at m is a
+    function of (config, trial_index, m) alone.
     """
     ms = (config.m,) if ms is None else tuple(int(m) for m in ms)
     if not ms or ms[-1] != config.m:
         raise ValueError(f"ms must end at config.m={config.m}, got {ms}")
     _check_prefixes(ms, config.m)
     if config.decoder != "mle":
-        block = _TopkBlock(config, trial_index, trial_index + 1, config.m)
-        successes = []
-        for m in ms:
-            scores = block.scores(m)
-            successes.append(bool(_topk_recovers(scores, block.truth)[0]))
-            block.keep(m)
-        # a success at config.m decodes the true support (see _topk_recovers)
-        decoded = block.truth[0] if successes[-1] else _top_k_indices(scores[0], config.k)
-        return TrialOutcome(tuple(successes), tuple(int(i) for i in decoded))
+        counts = _block_counts(config, ms, trial_index, trial_index + 1)
+        return TrialOutcome(tuple(count == 1 for count in counts))
     base = derive_trial_stream(config.master_seed, trial_index)
     x = random_signal(config.n, config.k, base.substream(ROLE_SIGNAL))
     A = gen_sensing_matrix(config.m, config.n, base.substream(ROLE_MATRIX))
@@ -327,8 +320,7 @@ def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
         supports = mle_decode_linear(A, y, config.k, config.mle_budget).support[None]
     else:
         supports = mle_prefix_decode(A, y, config.k, ms, config.mle_budget)
-    successes = np.all(supports == x.support_array, axis=1)
-    return TrialOutcome(tuple(bool(s) for s in successes), tuple(int(i) for i in supports[-1]))
+    return TrialOutcome(tuple(bool(s) for s in np.all(supports == x.support_array, axis=1)))
 
 
 def _block_counts(
@@ -337,6 +329,9 @@ def _block_counts(
     """Successes at every m of the ascending ``ms`` (none above config.m)
     over trials [start, stop).
 
+    This is the one place a top-k or quantize trial is judged, a single
+    trial included (:func:`run_trial`); MLE trials are judged one by one
+    by :func:`run_trial`.
     Top-k trials are set up and judged in blocks, as many at once as
     ``_KEPT_BYTES`` holds at their set-up peak (:func:`_walk_footprint`).
     With ``keep``, blocks are set up for config.m and kept, while there is
@@ -366,7 +361,6 @@ def _block_counts(
                 _kept[key] = block
         for j, m in enumerate(ms):
             counts[j] += np.count_nonzero(_topk_recovers(block.scores(m), block.truth))
-            block.keep(m)
     return counts.tolist()
 
 
@@ -521,15 +515,10 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-m success rates with Wilson intervals, plus the config echo."""
+    """Per-m success rates with 95% Wilson intervals, plus the config echo."""
 
     config: TrialConfig
     rows: tuple
-    confidence: float = 0.95
-
-    @property
-    def master_seed(self) -> int:
-        return self.config.master_seed
 
     def to_csv(self) -> str:
         cfg = self.config
@@ -547,13 +536,7 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def sweep(
-    config: TrialConfig,
-    m_grid,
-    trials: int,
-    workers: int = 1,
-    confidence: float = 0.95,
-) -> SweepResult:
+def sweep(config: TrialConfig, m_grid, trials: int, workers: int = 1) -> SweepResult:
     """Success rate at every m in the (ascending) grid, same trials each.
 
     Trial indices are shared across grid points, so rows are paired
@@ -567,9 +550,9 @@ def sweep(
         raise ValueError(f"m_grid must be strictly ascending, got {grid}")
     rows = []
     for m, successes in zip(grid, _success_counts(config, tuple(grid), trials, workers)):
-        lo, hi = wilson_interval(successes, trials, confidence)
+        lo, hi = wilson_interval(successes, trials)
         rows.append(SweepRow(m, trials, successes, successes / trials, lo, hi))
-    return SweepResult(config, tuple(rows), confidence)
+    return SweepResult(config, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -601,7 +584,6 @@ def estimate_m95(
     m_hi: int,
     threshold: float = 0.95,
     workers: int = 1,
-    confidence: float = 0.95,
 ) -> M95Result:
     """Bisect on m for the smallest count with success rate >= threshold.
 
@@ -647,7 +629,7 @@ def estimate_m95(
                     lo = mid
             m95 = hi
     successes = cache[m95]
-    lo_ci, hi_ci = wilson_interval(successes, trials, confidence)
+    lo_ci, hi_ci = wilson_interval(successes, trials)
     return M95Result(
         m95, threshold, trials, successes, successes / trials, lo_ci, hi_ci, tuple(probes)
     )

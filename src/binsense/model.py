@@ -300,7 +300,7 @@ def inverse_link(t, model: Model):
     return out
 
 
-def link_slope(model: Model, k: int, c_linear: float = 1.0) -> float:
+def link_slope(model: Model, k: int) -> float:
     """Per-sample correlation strength between the output and a support column.
 
     This is the quantity whose square sets the top-k decoder's sample
@@ -308,9 +308,8 @@ def link_slope(model: Model, k: int, c_linear: float = 1.0) -> float:
 
     * one-bit:   sqrt(2/pi) / sqrt(k + sigma2)
     * logistic:  (1/2) * sqrt(2 / (2/beta^2 + k))   (a lower bound)
-    * linear:    1 / (c_linear * sqrt(k + sigma2)), after normalizing by
-      the output's sub-Gaussian scale; c_linear is a free constant used
-      only for bound plotting, never for decoding.
+    * linear:    1 / sqrt(k + sigma2), after normalizing by the output's
+      sub-Gaussian scale.
     """
     if not (isinstance(k, int) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k!r}")
@@ -320,7 +319,5 @@ def link_slope(model: Model, k: int, c_linear: float = 1.0) -> float:
         inv_beta2 = 0.0 if math.isinf(model.beta) else 2.0 / (model.beta ** 2)
         return 0.5 * math.sqrt(2.0 / (inv_beta2 + k))
     if isinstance(model, Linear):
-        if c_linear <= 0.0:
-            raise ValueError(f"c_linear must be positive, got {c_linear!r}")
-        return 1.0 / (c_linear * math.sqrt(k + model.sigma2))
+        return 1.0 / math.sqrt(k + model.sigma2)
     raise TypeError(f"not a measurement model: {model!r}")

@@ -122,10 +122,10 @@ class TestTopkSampleBound:
         assert generic == pytest.approx(closed * math.pi / 2.0, rel=1e-12)
 
     def test_large_slope_uses_l_not_l_squared(self):
-        # linear channel with small c gives L = 2 > 1, so min(L, L^2) = L
+        # the noiseless linear channel at k = 1 has L = 1, where min(L, L^2) = L
         n, k = 100, 1
         value = topk_sample_bound(n, k, Linear(0.0), c=0.5)
-        L = 1.0 / (1.0 * math.sqrt(1))  # link_slope with c_linear = 1
+        L = 1.0 / math.sqrt(1)  # link_slope of Linear(0.0) at k = 1
         assert value == pytest.approx(0.5 / L * (math.log2(1) + math.log2(99)), rel=1e-12)
 
     def test_logistic_noiseless_closed_form(self):

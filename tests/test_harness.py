@@ -65,15 +65,12 @@ class TestTrialConfig:
 class TestRunTrial:
     def test_deterministic(self):
         config = TrialConfig(OneBit(1.0), 64, 4, 50, master_seed=9)
-        a = run_trial(config, 3)
-        b = run_trial(config, 3)
-        assert a.success == b.success
-        assert a.decoded_support == b.decoded_support
+        assert run_trial(config, 3, range(1, 51)) == run_trial(config, 3, range(1, 51))
 
     def test_trials_differ(self):
         config = TrialConfig(OneBit(1.0), 64, 4, 50, master_seed=9)
-        supports = {run_trial(config, i).decoded_support for i in range(5)}
-        assert len(supports) > 1
+        curves = {run_trial(config, i, range(1, 51)).successes for i in range(5)}
+        assert len(curves) > 1
 
     def test_noiseless_mle_always_recovers(self):
         config = TrialConfig(Linear(0.0), 12, 2, 6, decoder="mle", master_seed=17)
@@ -87,9 +84,11 @@ class TestRunTrial:
 
     def test_success_is_set_equality(self):
         config = TrialConfig(Linear(0.0), 10, 2, 8, decoder="mle", master_seed=1)
-        outcome = run_trial(config, 0)
-        assert outcome.success
-        assert len(outcome.decoded_support) == 2
+        x = random_signal(config.n, config.k, _role(config, 0, harness.ROLE_SIGNAL))
+        A = gen_sensing_matrix(config.m, config.n, _role(config, 0, harness.ROLE_MATRIX))
+        y = measure(A, x, config.model, _role(config, 0, harness.ROLE_NOISE))
+        assert mle_decode_linear(A, y, config.k).support_set() == frozenset(x.support)
+        assert run_trial(config, 0).success
 
 
 class TestCountSuccesses:
@@ -347,9 +346,7 @@ class TestPrefixTrials:
         returns its outcome and the decoder's pick at each mark."""
         scores = {1: np.asarray(first, float), 2: np.asarray(last, float)}
         truth = np.asarray(truth)
-        block = SimpleNamespace(
-            truth=truth[None], scores=lambda m: scores[m][None].copy(), keep=lambda m: None
-        )
+        block = SimpleNamespace(truth=truth[None], scores=lambda m: scores[m][None].copy())
         config = TrialConfig(OneBit(1.0), len(last), truth.size, 2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "_TopkBlock", lambda config, start, stop, m_max: block)
@@ -362,19 +359,18 @@ class TestPrefixTrials:
     def test_decoded_support_on_a_tie(self, truth, success):
         outcome, picks = self._judge_scores([1, 1, 1, 0], [1, 1, 1, 0], truth)
         assert outcome.success == success
-        assert outcome.decoded_support == (0, 1)
+        assert picks[-1].tolist() == [0, 1]  # the decoder's tie rule
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 10))
-    def test_decoded_support_is_the_top_k_of_the_final_scores(self, data, n):
-        # small integer scores make ties common; succeeded or not, the decoded
-        # support is the decoder's pick at the last mark
+    def test_verdicts_follow_the_decoders_pick_at_each_mark(self, data, n):
+        # small integer scores make ties common; the verdict at each mark is
+        # whether the decoder's pick there is the truth
         draw = lambda: data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         first, last = draw(), draw()
         k = data.draw(st.integers(1, n))
         truth = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
-        outcome, picks = self._judge_scores(first, last, truth)
-        assert outcome.decoded_support == tuple(picks[-1].tolist())
+        self._judge_scores(first, last, truth)
 
     def test_probes_equal_count_successes(self):
         config = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)
@@ -393,7 +389,7 @@ class TestPrefixTrials:
             run_trial(replace(config, m=grid[-1]), 5, grid[:-1])
 
     @pytest.mark.parametrize("decoder", sorted(PREFIX_CASES))
-    def test_decoded_support_is_the_decoders(self, decoder):
+    def test_verdicts_are_the_decoders(self, decoder):
         # MLE trials decode their matrix; top-k trials decode the scores of
         # their sufficient statistics, which the decoder must pick the same way
         config, grid = PREFIX_CASES[decoder]
@@ -413,7 +409,6 @@ class TestPrefixTrials:
                 block = harness._TopkBlock(config, i, i + 1, config.m)
                 result = _decode_scores(decode, block.scores(config.m)[0], config.k)
                 truth = frozenset(block.truth[0].tolist())
-            assert outcome.decoded_support == tuple(result.support)
             assert outcome.success == (result.support_set() == truth)
 
     def test_sweep_draws_once_per_trial(self, monkeypatch):
@@ -517,7 +512,6 @@ class TestStreamedTrials:
         for m, success in zip(ms, outcome.successes):
             result = _decode_scores(decode_fn, block.scores(m)[0], k)
             assert success == (result.support_set() == frozenset(truth.support))
-        assert outcome.decoded_support == tuple(result.support)
 
     @pytest.mark.parametrize("case", sorted(STREAMED_CASES))
     def test_verdicts_do_not_depend_on_the_grid(self, case):
@@ -531,7 +525,6 @@ class TestStreamedTrials:
             for ms in grids:
                 got = run_trial(config, i, ms)
                 assert got.successes == tuple(outcome.successes[m - 1] for m in ms)
-                assert got.decoded_support == outcome.decoded_support
             # a trial set up for a larger m, read in any order (as the probes
             # of a threshold search read a kept trial), gives the same scores
             tall = harness._TopkBlock(config, i, i + 1, 1000)
@@ -541,8 +534,33 @@ class TestStreamedTrials:
                 assert np.array_equal(tall.scores(m), short[m])
                 success = harness._topk_recovers(short[m], tall.truth)[0]
                 assert success == outcome.successes[m - 1]
-                tall.keep(m)
         assert any(0 < sum(o.successes) < len(dense) for o in outcomes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m_max=st.integers(2, 300), bisection=st.booleans())
+    def test_a_read_keeps_only_its_own_path(self, data, m_max, bisection):
+        # after any sequence of reads, ascending or in a bisection's order,
+        # the block holds exactly the midpoints the last read is built from,
+        # and every read equals a fresh block's
+        if bisection:
+            lo, hi = data.draw(st.integers(1, m_max - 1)), m_max
+            reads = [hi, lo]
+            while hi - lo > 1:
+                reads.append((lo + hi) // 2)
+                lo, hi = (lo, reads[-1]) if data.draw(st.booleans()) else (reads[-1], hi)
+        else:
+            reads = sorted(data.draw(st.sets(st.integers(1, m_max), min_size=1, max_size=10)))
+
+        def path(c):
+            h = c & -c
+            return set() if h == c else {c} | path(c - h) | path(c + h)
+
+        config = TrialConfig(OneBit(1.0), 6, 2, m_max, master_seed=73)
+        block = harness._TopkBlock(config, 0, 3, m_max)
+        for m in reads:
+            fresh = harness._TopkBlock(config, 0, 3, m).scores(m)
+            assert np.array_equal(block.scores(m), fresh)
+            assert set(block.nodes) == path(m)
 
     @pytest.mark.parametrize("case", sorted(STREAMED_CASES))
     def test_verdicts_do_not_depend_on_the_block_size(self, monkeypatch, case):
@@ -665,7 +683,6 @@ class TestStreamedTrials:
             held = []
             for m in (1000, 525, 287, 168, 228, 258, 243, 250, 254, 252, 253):  # a bisection
                 harness._topk_recovers(block.scores(m), block.truth)
-                block.keep(m)
                 held.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()

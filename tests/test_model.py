@@ -324,10 +324,8 @@ class TestLinkSlope:
     def test_logistic_noiseless_limit(self):
         assert link_slope(Logistic(math.inf), 8) == pytest.approx(0.5 * math.sqrt(2.0 / 8.0), rel=1e-12)
 
-    def test_linear_free_constant(self):
-        assert link_slope(Linear(1.0), 3, c_linear=2.0) == pytest.approx(0.25, rel=1e-12)
-        with pytest.raises(ValueError):
-            link_slope(Linear(1.0), 3, c_linear=0.0)
+    def test_linear_value(self):
+        assert link_slope(Linear(1.0), 3) == 0.5
 
     def test_decreasing_in_noise(self):
         assert link_slope(OneBit(16.0), 10) < link_slope(OneBit(0.0), 10)
