@@ -110,17 +110,17 @@ def conjectured_alg_threshold(n: int, k: int, sigma2: float) -> float:
 
 def topk_sample_bound(n: int, k: int, model: Model, c: float = 1.0) -> float:
     """Sample count sufficient for the top-k correlation decoder, in the
-    form c / min(L, L^2) * (log2(k) + log2(n-k)).
+    form c / L^2 * (log2(k) + log2(n-k)).
 
-    L is the per-model link slope; the multiplicative constant c is not
-    pinned by the theory, so values are shape-only (scaling in n, k, and
-    the noise level).
+    L <= 1 is the per-model link slope; the multiplicative constant c is
+    not pinned by the theory, so values are shape-only (scaling in n, k,
+    and the noise level).
     """
     _check_nk(n, k)
     if c <= 0.0:
         raise ValueError(f"c must be positive, got {c!r}")
     L = link_slope(model, k)
-    return c / min(L, L * L) * (math.log2(k) + math.log2(n - k))
+    return c / (L * L) * (math.log2(k) + math.log2(n - k))
 
 
 def topk_sample_bound_closed(n: int, k: int, model: Model, c: float = 1.0) -> float:

@@ -76,7 +76,7 @@ from .model import (
     sample_projections,
     sign_pm1,
 )
-from .numerics import RngStream, derive_trial_stream, sample_gaussian
+from .numerics import _U64_MAX, RngStream, derive_trial_stream, sample_gaussian
 
 __all__ = [
     "DECODERS",
@@ -109,8 +109,6 @@ ROLE_WALK = 3  # forward steps of a top-k trial's score walks
 ROLE_BRIDGE = 4  # their bridge midpoints
 
 DECODERS = ("topk", "mle", "quantize")
-
-_U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 
 class BracketError(ValueError):
@@ -207,9 +205,9 @@ class _TopkBlock:
     variance taken on the clock (Levy's construction); a trial whose clock
     is flat there copies node c - h and draws nothing.  Every node is thus
     a fixed function of its own normals and those it is built from,
-    whichever nodes were read before.  Each row's normals are drawn from
-    its own trial's streams and all arithmetic is elementwise, so a row is
-    bit for bit the trial set up alone.
+    whichever nodes were read before.  A node's rows are drawn in one
+    sampler pass, each from its own trial's stream, and all arithmetic is
+    elementwise, so a row is bit for bit the trial set up alone.
     """
 
     def __init__(self, config: TrialConfig, start: int, stop: int, m_max: int) -> None:
@@ -225,9 +223,8 @@ class _TopkBlock:
             t[row] = sample_projections(length, config.k, base.substream(ROLE_MATRIX))
             out = observe(t[row], config.model, base.substream(ROLE_NOISE))
             y[row] = (quantize(out) if config.decoder == "quantize" else out).values
-            # drawn through model's sampler, like every other draw of a trial
-            normals = _model.sample_gaussian(base.substream(ROLE_WALK), levels * n)
-            steps[row] = normals.reshape(levels, n)
+        walks = [base.substream(ROLE_WALK) for base in bases]
+        _model._gaussian_rows(walks, levels * n, 0, steps.reshape(rows, -1))  # fills steps
         self.truth, self.n = truth, n
         self.drift = np.cumsum(y * t, axis=1)
         self.clock = np.zeros((rows, length + 1))
@@ -250,8 +247,11 @@ class _TopkBlock:
             left, span = v[:, c] - v[:, c - h], v[:, c + h] - v[:, c - h]
             moving = span > 0.0
             normals = np.zeros((len(v), self.n))
-            for row in np.flatnonzero(moving):
-                normals[row] = _model.sample_gaussian(self.bridges[row], self.n, start=c * self.n)
+            rows = np.flatnonzero(moving)
+            drawn = normals[: len(rows)]
+            _model._gaussian_rows([self.bridges[r] for r in rows], self.n, c * self.n, drawn)
+            if len(rows) < len(v):  # move the drawn rows to the rows they belong to
+                normals[rows] = drawn
             with np.errstate(divide="ignore", invalid="ignore"):
                 w = lo + (left / span)[:, None] * (hi - lo)
                 w += np.sqrt(left * (v[:, c + h] - v[:, c]) / span)[:, None] * normals

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .numerics import RngStream, _uniforms, sample_gaussian, sample_indices, std_normal_cdf
+from .numerics import _gaussian_rows  # noqa: F401  (the harness draws a block's walks here)
 
 __all__ = [
     "Linear",
@@ -316,7 +317,8 @@ def link_slope(model: Model, k: int) -> float:
     if isinstance(model, OneBit):
         return math.sqrt(2.0 / math.pi) / math.sqrt(k + model.sigma2)
     if isinstance(model, Logistic):
-        inv_beta2 = 0.0 if math.isinf(model.beta) else 2.0 / (model.beta ** 2)
+        # k + 2/beta^2 is k past beta = 2**27, before beta^2 overflows; inf if it underflows
+        inv_beta2 = 0.0 if model.beta > 2.0**27 else 2.0 / max(model.beta ** 2, 5e-324)
         return 0.5 * math.sqrt(2.0 / (inv_beta2 + k))
     if isinstance(model, Linear):
         return 1.0 / math.sqrt(k + model.sigma2)

@@ -15,16 +15,16 @@ own normal sampler is never used, so the pipeline from seed to sample is
 pinned down here.
 
 Every draw is prefix-stable: sample i depends on uniform i alone, so the
-first c samples of a stream are the same whether c or more are drawn.
-A matrix drawn row by row at m rows is therefore the first m rows of the
-matrix at any larger m, which lets one draw serve every smaller m.  A
-draw may also start anywhere in its stream (``start``): Philox is
-counter-based, so every draw sets the counter to the step that holds
-uniform s and drops the uniforms of that step before s.  Reading samples
-[s, s + c) thus costs c samples whatever s is, and no stream object holds
-a generator, which lets the Monte Carlo harness give each node of a
-trial's Brownian skeleton a fixed range of one stream and draw only the
-nodes it needs, in any order.
+first c samples of a stream are the same whether c or more are drawn,
+and one matrix drawn at m rows serves every smaller m.  A draw may also
+start anywhere in its stream (``start``): Philox is counter-based, so
+every draw sets the counter to the step that holds uniform s and drops
+the uniforms of that step before s.  Reading samples [s, s + c) thus
+costs c samples whatever s is, and no stream object holds a generator,
+so the Monte Carlo harness can give each node of a trial's Brownian
+skeleton a fixed range of one stream, draw only the nodes it needs, in
+any order, and draw a node for a block of trials in one pass, each row
+at its own stream and counter (``_gaussian_rows``).
 """
 
 from __future__ import annotations
@@ -147,27 +147,36 @@ def _open_interval(u: np.ndarray) -> np.ndarray:
 
 
 # One generator per thread, re-keyed for every draw: setting a Philox state
-# costs about a tenth of building one, whose unseeded constructor reads OS
-# entropy that the key then replaces.
+# (held in lists, which the setter reads ~3x faster than arrays) costs about a
+# tenth of building one, whose unseeded constructor reads OS entropy.
 _scratch = threading.local()
 
 
-def _uniforms(stream: RngStream, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms [start, start + count) of the stream.
-
-    Equal to ``stream.generator().random(start + count)[start:]``.  Philox
-    makes 4 uniforms per counter step and steps the counter before making
-    them, so the draw sets the counter to ``start // 4`` with nothing
-    buffered and drops the first ``start % 4`` uniforms of that step.
+def _uniforms(stream: RngStream, count: int, start: int = 0, out=None) -> np.ndarray:
+    """Uniforms [start, start + count) of the stream, into ``out`` if given:
+    ``stream.generator().random(start + count)[start:]``.  Philox makes 4
+    uniforms per counter step and steps the counter before making them, so
+    the draw sets the counter to ``start // 4`` with nothing buffered and
+    drops the first ``start % 4`` uniforms of that step.
     """
     if not hasattr(_scratch, "generator"):
         _scratch.generator = np.random.Generator(np.random.Philox(key=0))
-        _scratch.fresh = _scratch.generator.bit_generator.state  # counter 0, nothing buffered
+        _scratch.fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+                          "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     state = _scratch.fresh["state"]
-    state["key"] = np.array([stream.master_seed, stream.stream_id], np.uint64)
+    state["key"] = [stream.master_seed, stream.stream_id]
     state["counter"][0] = start // 4
-    _scratch.generator.bit_generator.state = _scratch.fresh
-    return _scratch.generator.random(start % 4 + count)[start % 4 :]
+    _scratch.generator.bit_generator.state = _scratch.fresh  # buffer_pos 4: nothing buffered
+    if start % 4:
+        _scratch.generator.random(start % 4)
+    return _scratch.generator.random(out=np.empty(count) if out is None else out)
+
+
+def _gaussian_rows(streams, count: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill row r of ``out`` with ``sample_gaussian(streams[r], count, start=start)``."""
+    for row, stream in zip(out, streams):
+        _uniforms(stream, count, start, row)
+    return ndtri(_open_interval(out), out=out)
 
 
 def sample_gaussian(stream: RngStream, count: int, *, start: int = 0) -> np.ndarray:
@@ -177,15 +186,14 @@ def sample_gaussian(stream: RngStream, count: int, *, start: int = 0) -> np.ndar
     moved into the open interval (0, 1).  Sample i depends on uniform i
     alone, so a shorter draw is always a prefix of a longer one, and a
     draw at ``start`` is that slice of one draw from the beginning.  The
-    uniforms are read by :func:`_uniforms` straight from ``start``, so
-    reading a slice costs no more than its own samples.
+    uniforms are read straight from ``start``, so reading a slice costs
+    no more than its own samples.  A block of rows: :func:`_gaussian_rows`.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if not isinstance(start, int) or not 0 <= start < 2**66:  # start // 4 fills one counter word
         raise ValueError(f"start must be an integer in [0, 2**66), got {start!r}")
-    u = _uniforms(stream, count, start)
-    return ndtri(_open_interval(u), out=u)
+    return _gaussian_rows((stream,), count, start, np.empty((1, count)))[0]
 
 
 def sample_indices(stream: RngStream, n: int, k: int) -> np.ndarray:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binsense.bounds import (
     BoundQuery,
@@ -30,7 +32,7 @@ from binsense.bounds import (
     topk_sample_bound,
     topk_sample_bound_closed,
 )
-from binsense.model import Linear, Logistic, OneBit
+from binsense.model import Linear, Logistic, OneBit, link_slope
 from binsense.numerics import binary_entropy
 
 
@@ -121,12 +123,18 @@ class TestTopkSampleBound:
         closed = topk_sample_bound_closed(n, k, OneBit(1.0))
         assert generic == pytest.approx(closed * math.pi / 2.0, rel=1e-12)
 
-    def test_large_slope_uses_l_not_l_squared(self):
-        # the noiseless linear channel at k = 1 has L = 1, where min(L, L^2) = L
-        n, k = 100, 1
-        value = topk_sample_bound(n, k, Linear(0.0), c=0.5)
-        L = 1.0 / math.sqrt(1)  # link_slope of Linear(0.0) at k = 1
-        assert value == pytest.approx(0.5 / L * (math.log2(1) + math.log2(99)), rel=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 4) | st.integers(1, 10**9),  # the slopes are largest at small k
+        sigma2=st.floats(0.0, 1e300),
+        beta=st.floats(0.0, math.inf, exclude_min=True),
+    )
+    @example(k=1, sigma2=0.0, beta=math.inf)  # every slope at its largest
+    def test_link_slope_is_at_most_one(self, k, sigma2, beta):
+        # the bound divides by L^2, the smaller of L and L^2 only while L <= 1;
+        # a beta whose square leaves the float range reads as its limit, 0 or inf
+        for model in (Linear(sigma2), OneBit(sigma2), Logistic(beta)):
+            assert 0.0 <= link_slope(model, k) <= 1.0
 
     def test_logistic_noiseless_closed_form(self):
         n, k = 512, 8

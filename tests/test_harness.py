@@ -169,6 +169,25 @@ def _counting_draws(monkeypatch):
     return draws
 
 
+def _counting_normals(monkeypatch):
+    """Record every Gaussian draw a trial makes through ``model``, a row at a
+    time, as (stream_id, start, count): single draws and the rows of a block."""
+    drawn = []
+    single, rows = model_module.sample_gaussian, model_module._gaussian_rows
+
+    def counted_single(stream, count, *, start=0):
+        drawn.append((stream.stream_id, start, count))
+        return single(stream, count, start=start)
+
+    def counted_rows(streams, count, start, out):
+        drawn.extend((stream.stream_id, start, count) for stream in streams)
+        return rows(streams, count, start, out)
+
+    monkeypatch.setattr(model_module, "sample_gaussian", counted_single)
+    monkeypatch.setattr(model_module, "_gaussian_rows", counted_rows)
+    return drawn
+
+
 def _role(config, trial_index, role):
     return derive_trial_stream(config.master_seed, trial_index).substream(role)
 
@@ -226,23 +245,18 @@ class TestWorkRule:
     @pytest.mark.parametrize("model", [Linear(1.0), OneBit(2.0)], ids=["linear", "onebit"])
     def test_work_bounds_the_normals_drawn(self, monkeypatch, model):
         # a top-k call's work is the normals it draws, counted from above
-        drawn = []
-        sample = model_module.sample_gaussian
-        monkeypatch.setattr(
-            model_module,
-            "sample_gaussian",
-            lambda stream, count, **kw: drawn.append(count) or sample(stream, count, **kw),
-        )
+        drawn = _counting_normals(monkeypatch)
         config = TrialConfig(model, 96, 3, 20, master_seed=70)
         grid = (20, 50, 129, 300)
         sweep(config, grid, 6)
+        normals = lambda: sum(count for _, _, count in drawn)
         work = harness._work(replace(config, m=300), 6, len(grid), 1)
-        assert sum(drawn) <= work <= 3 * sum(drawn)
+        assert normals() <= work <= 3 * normals()
         drawn.clear()
         probes = 2 + (600 - 20 - 1).bit_length()  # the most a search of [20, 600] asks
         assert len(estimate_m95(config, 6, 20, 600, threshold=0.5).probes) <= probes
         work = harness._work(replace(config, m=600), 6, 1, probes)
-        assert sum(drawn) <= work <= 3 * sum(drawn)
+        assert normals() <= work <= 3 * normals()
 
     def test_small_calls_start_no_pool(self, monkeypatch):
         # the benchmark's units run in this process, however many workers are asked for
@@ -601,20 +615,14 @@ class TestStreamedTrials:
             return steps
 
         _outputs_with_clock_steps(monkeypatch, steps_of)
-        drawn = []
-        sample = model_module.sample_gaussian
-        monkeypatch.setattr(
-            model_module,
-            "sample_gaussian",
-            lambda stream, count, **kw: drawn.append((stream, kw)) or sample(stream, count, **kw),
-        )
+        drawn = _counting_normals(monkeypatch)
         config = TrialConfig(Linear(0.0), 24, 3, 32, master_seed=7500)
         block = harness._TopkBlock(config, 0, 7, 32)
         singles = [harness._TopkBlock(config, i, i + 1, 32) for i in range(7)]
         clocks = block.clock
         assert len({tuple(v) for v in clocks}) == 7
         assert all(np.any(np.diff(v) == 0.0) == (i % 2 == 1) for i, v in enumerate(clocks))
-        draws = lambda: sorted((stream.stream_id, kw["start"]) for stream, kw in drawn)
+        draws = lambda: sorted(drawn)
         stalled = []
         for c in range(1, 33):
             drawn.clear()

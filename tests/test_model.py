@@ -388,3 +388,29 @@ def test_only_numerics_reads_a_random_stream():
     named = {name: lines for name, (lines, _) in found.items() if lines and name != "numerics.py"}
     advanced = {name: lines for name, (_, lines) in found.items() if lines}
     assert (named, advanced) == ({}, {})
+
+
+def looped_sampler_lines(path) -> list:
+    """Line numbers in ``path`` of Gaussian sampler calls made in a loop's body
+    or a comprehension."""
+    lines = set()
+    for loop in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(loop, (ast.For, ast.While)):
+            body = loop.body
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            body = [loop]
+        else:
+            continue
+        for sub in (sub for stmt in body for sub in ast.walk(stmt)):
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "attr", None) or getattr(sub.func, "id", "")
+                if "gaussian" in name:
+                    lines.add(sub.lineno)
+    return sorted(lines)
+
+
+def test_harness_draws_no_gaussians_row_by_row():
+    # a block of top-k trials draws each skeleton node's rows in one sampler
+    # call; a call per row, in a loop, would undo that
+    harness_py = Path(binsense.__file__).parent / "harness.py"
+    assert looped_sampler_lines(harness_py) == []

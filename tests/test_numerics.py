@@ -6,6 +6,7 @@ the CDF) and frozen here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.special import ndtri
 
 from binsense.numerics import (
     RngStream,
+    _gaussian_rows,
     _open_interval,
     _uniforms,
     binary_entropy,
@@ -204,6 +206,39 @@ class TestSampleGaussian:
             assert np.array_equal(_uniforms(stream, count, start), expected)
             got = sample_gaussian(stream, count, start=start)
             assert np.array_equal(got, ndtri(_open_interval(expected)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+            min_size=1,
+            max_size=8,
+        ),
+        count=st.integers(1, 600),
+        start=st.integers(0, 40) | st.integers(0, 2**40),
+    )
+    def test_a_block_of_rows_is_its_rows_drawn_alone(self, keys, count, start):
+        # every row keeps its own key and counter though the rows share one
+        # transform pass, so row r is stream r's own draw, bit for bit
+        streams = [RngStream(seed, stream_id) for seed, stream_id in keys]
+        out = np.full((len(streams), count), np.nan)
+        assert _gaussian_rows(streams, count, start, out) is out
+        for row, stream in zip(out, streams):
+            assert np.array_equal(row, sample_gaussian(stream, count, start=start))
+
+    def test_a_block_draws_into_its_buffer(self):
+        # the rows' uniforms, their move into (0, 1) and their quantiles all
+        # live in the caller's buffer: no second buffer of its size is made
+        streams = [RngStream(11, i) for i in range(8)]
+        out = np.empty((8, 4096))
+        _gaussian_rows(streams, 4096, 6, out)  # warm up
+        tracemalloc.start()
+        try:
+            _gaussian_rows(streams, 4096, 6, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes // 8
 
     def test_a_stream_is_a_value(self):
         # reading a stream at any start leaves nothing on the stream object
