@@ -16,8 +16,6 @@ from binsense import (
     OneBit,
     RngStream,
     gen_sensing_matrix,
-    inverse_link,
-    link_slope,
     measure,
     random_signal,
     sign_pm1,
@@ -46,14 +44,14 @@ y_bit = measure(A, x, OneBit(1.0), noise_stream)
 print("\nsign(linear) == one-bit, entry for entry:",
       bool(np.array_equal(sign_pm1(y_lin.values), y_bit.values)))
 
-# conditional mean of y given t = <A_i, x> follows the inverse link
+# conditional mean of y given t = <A_i, x> follows the channel's inverse link
 print("\ninverse links at t = 1.0:")
 for model in (Linear(1.0), OneBit(1.0), Logistic(1.0)):
-    print(f"  {type(model).__name__:8s} g(1.0) = {inverse_link(1.0, model):+.4f}")
+    print(f"  {type(model).__name__:8s} g(1.0) = {model.inverse_link(1.0):+.4f}")
 
 # the link slope is the per-sample correlation that decoding rides on;
 # check the one-bit closed form sqrt(2/pi)/sqrt(k + sigma2) empirically
-target = link_slope(OneBit(1.0), k)
+target = OneBit(1.0).link_slope(k)
 j = x.support[0]
 empirical = float(np.mean(y_bit.values * A.entries[:, j]))
 se = float(np.std(y_bit.values * A.entries[:, j], ddof=1) / math.sqrt(m))

@@ -31,11 +31,8 @@ from .model import (
     SensingMatrix,
     SparseSignal,
     gen_sensing_matrix,
-    inverse_link,
-    link_slope,
     measure,
     model_tag,
-    observe,
     random_signal,
     sample_projections,
     sign_pm1,

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import Logistic, Model, OneBit, link_slope, noise_param, output_scale
+from .model import Logistic, Model, OneBit
 from .numerics import binary_entropy
 
 __all__ = [
@@ -114,12 +114,15 @@ def topk_sample_bound(n: int, k: int, model: Model, c: float = 1.0) -> float:
 
     L <= 1 is the per-model link slope; the multiplicative constant c is
     not pinned by the theory, so values are shape-only (scaling in n, k,
-    and the noise level).
+    and the noise level).  A slope that is 0 in floating point (logistic
+    beta below about 1e-154) admits no finite count and raises ValueError.
     """
     _check_nk(n, k)
     if c <= 0.0:
         raise ValueError(f"c must be positive, got {c!r}")
-    L = link_slope(model, k)
+    L = model.link_slope(k)
+    if L == 0.0:
+        raise ValueError(f"the link slope of {model!r} at k={k} is 0 in floating point")
     return c / (L * L) * (math.log2(k) + math.log2(n - k))
 
 
@@ -132,7 +135,7 @@ def topk_sample_bound_closed(n: int, k: int, model: Model, c: float = 1.0) -> fl
     _check_nk(n, k)
     if c <= 0.0:
         raise ValueError(f"c must be positive, got {c!r}")
-    return c * output_scale(model, k) * (math.log2(k) + math.log2(n - k))
+    return c * model.output_scale(k) * (math.log2(k) + math.log2(n - k))
 
 
 def glm_fano_lower(n: int, k: int, mutual_info_cap: float, delta: float = 0.0) -> float:
@@ -151,17 +154,18 @@ def glm_fano_lower(n: int, k: int, mutual_info_cap: float, delta: float = 0.0) -
 def onebit_fano_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> float:
     """One-bit channel floor (k + sigma2)/2 * log2(n/k), Fano-corrected."""
     _check_nk(n, k)
-    if sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2!r}")
-    return output_scale(OneBit(sigma2), k) / 2.0 * math.log2(n / k) * fano_correction(n, k, delta)
+    return _binary_fano_lower(n, k, OneBit(sigma2), delta)
 
 
 def logistic_fano_lower(n: int, k: int, beta: float, delta: float = 0.0) -> float:
     """Logistic channel floor (k + 1/beta^2)/2 * log2(n/k), Fano-corrected."""
     _check_nk(n, k)
-    if math.isnan(beta) or beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    return output_scale(Logistic(beta), k) / 2.0 * math.log2(n / k) * fano_correction(n, k, delta)
+    return _binary_fano_lower(n, k, Logistic(beta), delta)
+
+
+def _binary_fano_lower(n: int, k: int, model: Model, delta: float) -> float:
+    """The binary-channel floor output_scale(k)/2 * log2(n/k), Fano-corrected."""
+    return model.output_scale(k) / 2.0 * math.log2(n / k) * fano_correction(n, k, delta)
 
 
 def linear_fano_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> float:
@@ -373,9 +377,7 @@ class BoundReport:
             "n": q.n,
             "k": q.k,
             "model": q.model.tag,
-            "sigma2": None,
-            "beta": None,
-            q.model.noise_name: noise_param(q.model),
+            **q.model.noise_fields(),
             "delta": q.delta,
             "mutual_info_cap": q.mutual_info_cap,
             "c": q.c,
@@ -400,11 +402,15 @@ def bound_report(query: BoundQuery) -> BoundReport:
         if glm_lower == 0.0 and delta > 0.0:
             notes.append("glm_lower vacuous: error-probability correction exhausts the entropy budget")
 
-    m_star = m_alg = None
-    onebit_lower = logistic_lower = spl_fano = None
-    mle_upper = spl_cond = None
+    m_star = m_alg = spl_fano = mle_upper = spl_cond = None
+    binary_lowers = {"onebit_lower": None, "logistic_lower": None}
 
-    if model.tag == "linear":
+    if model.binary:
+        field = f"{model.tag}_lower"
+        binary_lowers[field] = _binary_fano_lower(n, k, model, delta)
+        if binary_lowers[field] == 0.0 and delta > 0.0:
+            notes.append(f"{field} vacuous: error-probability correction exhausts the entropy budget")
+    else:
         m_alg = conjectured_alg_threshold(n, k, model.sigma2)
         if model.sigma2 > 0.0:
             m_star = all_or_nothing_threshold(n, k, model.sigma2)
@@ -418,14 +424,6 @@ def bound_report(query: BoundQuery) -> BoundReport:
                 "sigma2=0: noisy-channel thresholds undefined; one exact measurement "
                 "recovers the signal (single-measurement decoder)"
             )
-    elif model.tag == "onebit":
-        onebit_lower = onebit_fano_lower(n, k, model.sigma2, delta)
-        if onebit_lower == 0.0 and delta > 0.0:
-            notes.append("onebit_lower vacuous: error-probability correction exhausts the entropy budget")
-    else:
-        logistic_lower = logistic_fano_lower(n, k, model.beta, delta)
-        if logistic_lower == 0.0 and delta > 0.0:
-            notes.append("logistic_lower vacuous: error-probability correction exhausts the entropy budget")
 
     if fano_correction(n, k, delta) == 0.0 and delta > 0.0:
         notes.append("fano correction clamped to 0 at this delta (vacuous lower bounds)")
@@ -437,8 +435,7 @@ def bound_report(query: BoundQuery) -> BoundReport:
         alg_upper=alg_upper,
         alg_upper_closed_form=closed,
         glm_lower=glm_lower,
-        onebit_lower=onebit_lower,
-        logistic_lower=logistic_lower,
+        **binary_lowers,
         spl_fano_lower=spl_fano,
         mle_upper=mle_upper,
         spl_conditional_lower=spl_cond,

@@ -25,7 +25,7 @@ from .harness import (
     moment_check_onebit,
     sweep,
 )
-from .model import CHANNELS, Model, noise_param
+from .model import CHANNELS, Model
 from .svgplot import line_chart
 
 __all__ = ["main", "build_parser"]
@@ -130,15 +130,12 @@ def _cmd_m95(args) -> int:
         threshold=args.success_threshold,
         workers=args.workers,
     )
-    model = config.model
     payload = {
         "config": {
-            "model": model.tag,
+            "model": config.model.tag,
             "n": config.n,
             "k": config.k,
-            "sigma2": None,
-            "beta": None,
-            model.noise_name: noise_param(model),
+            **config.model.noise_fields(),
             "decoder": config.decoder,
             "seed": config.master_seed,
         },
@@ -184,7 +181,7 @@ _MOMENT_CHECKS = {"onebit": moment_check_onebit, "logistic": moment_check_logist
 
 def _cmd_check_moments(args) -> int:
     model = _model_from_args(args)
-    noise = noise_param(model)
+    noise = model.noise
     check = _MOMENT_CHECKS[model.tag](args.k, noise, args.samples, master_seed=args.seed)
     payload = {
         "model": model.tag, "k": args.k, model.noise_name: noise, "seed": args.seed, **asdict(check)

@@ -159,7 +159,7 @@ def mle_prefix_decode(
     equal residuals keep the lexicographically smallest support.
     Returns a (len(ms), k) array.
     """
-    if y.model.tag != "linear":
+    if y.model.binary:
         raise ValueError("maximum-likelihood decoding is implemented for the linear channel only")
     if y.m != A.m:
         raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
@@ -220,7 +220,7 @@ def quantize(y: MeasurementVector) -> MeasurementVector:
     A linear vector becomes a one-bit vector over the same channel noise;
     a one-bit vector is returned unchanged (sign is idempotent).
     """
-    if y.model.tag == "logistic":
+    if not hasattr(y.model, "sigma2"):  # no Gaussian noise to carry
         raise ValueError("quantization applies to linear (or already one-bit) measurements")
     return MeasurementVector(OneBit(y.model.sigma2), sign_pm1(y.values))
 

@@ -51,7 +51,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from . import model as _model
 from .decode import (
     _check_prefixes,
     _mle_footprint,
@@ -68,15 +67,12 @@ from .model import (
     Model,
     OneBit,
     gen_sensing_matrix,
-    link_slope,
     measure,
-    noise_param,
-    observe,
     random_signal,
     sample_projections,
     sign_pm1,
 )
-from .numerics import _U64_MAX, RngStream, derive_trial_stream, sample_gaussian
+from .numerics import _U64_MAX, RngStream, _gaussian_rows, derive_trial_stream, sample_gaussian
 
 __all__ = [
     "DECODERS",
@@ -136,7 +132,7 @@ class TrialConfig:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
-        if self.decoder in ("mle", "quantize") and self.model.tag != "linear":
+        if self.decoder in ("mle", "quantize") and self.model.binary:
             raise ValueError(
                 f"the {self.decoder!r} decoder requires the linear channel, "
                 f"got {self.model.tag}"
@@ -221,10 +217,10 @@ class _TopkBlock:
         for row, base in enumerate(bases):
             truth[row] = random_signal(n, config.k, base.substream(ROLE_SIGNAL)).support_array
             t[row] = sample_projections(length, config.k, base.substream(ROLE_MATRIX))
-            out = observe(t[row], config.model, base.substream(ROLE_NOISE))
+            out = config.model.observe(t[row], base.substream(ROLE_NOISE))
             y[row] = (quantize(out) if config.decoder == "quantize" else out).values
         walks = [base.substream(ROLE_WALK) for base in bases]
-        _model._gaussian_rows(walks, levels * n, 0, steps.reshape(rows, -1))  # fills steps
+        _gaussian_rows(walks, levels * n, 0, steps.reshape(rows, -1))  # fills steps
         self.truth, self.n = truth, n
         self.drift = np.cumsum(y * t, axis=1)
         self.clock = np.zeros((rows, length + 1))
@@ -249,7 +245,7 @@ class _TopkBlock:
             normals = np.zeros((len(v), self.n))
             rows = np.flatnonzero(moving)
             drawn = normals[: len(rows)]
-            _model._gaussian_rows([self.bridges[r] for r in rows], self.n, c * self.n, drawn)
+            _gaussian_rows([self.bridges[r] for r in rows], self.n, c * self.n, drawn)
             if len(rows) < len(v):  # move the drawn rows to the rows they belong to
                 normals[rows] = drawn
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -522,14 +518,14 @@ class SweepResult:
 
     def to_csv(self) -> str:
         cfg = self.config
-        noise = {"sigma2": "", "beta": "", cfg.model.noise_name: f"{noise_param(cfg.model):.6g}"}
+        noise = ",".join("" if v is None else f"{v:.6g}" for v in cfg.model.noise_fields().values())
         lines = [
             "model,n,k,m,sigma2,beta,decoder,trials,successes,"
             "success_rate,ci_low,ci_high,seed"
         ]
         for row in self.rows:
             lines.append(
-                f"{cfg.model.tag},{cfg.n},{cfg.k},{row.m},{noise['sigma2']},{noise['beta']},"
+                f"{cfg.model.tag},{cfg.n},{cfg.k},{row.m},{noise},"
                 f"{cfg.decoder},{row.trials},{row.successes},{row.success_rate:.6g},"
                 f"{row.ci_low:.6g},{row.ci_high:.6g},{cfg.master_seed}"
             )
@@ -679,7 +675,7 @@ def moment_check_onebit(
     prod = y * column
     estimate = float(prod.mean())
     std_error = float(prod.std(ddof=1) / math.sqrt(samples))
-    target = link_slope(OneBit(sigma2), k) if in_support else 0.0
+    target = OneBit(sigma2).link_slope(k) if in_support else 0.0
     return MomentCheck(estimate, target, std_error, _z_score(estimate, target, std_error), samples)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.special import expit
 
 from .numerics import RngStream, _uniforms, sample_gaussian, sample_indices, std_normal_cdf
-from .numerics import _gaussian_rows  # noqa: F401  (the harness draws a block's walks here)
 
 __all__ = [
     "Linear",
@@ -35,21 +34,58 @@ __all__ = [
     "SensingMatrix",
     "MeasurementVector",
     "model_tag",
-    "noise_param",
-    "output_scale",
     "sign_pm1",
     "random_signal",
     "gen_sensing_matrix",
     "sample_projections",
     "measure",
-    "observe",
-    "inverse_link",
-    "link_slope",
 ]
 
 
+class _Channel:
+    """Base of every channel: its noise knob ``noise_name`` read out, and its
+    laws ``_link`` (on an array) and ``_slope`` (at a checked k) wrapped."""
+
+    @property
+    def noise(self) -> float:
+        """The scalar noise knob: sigma2 for linear/one-bit, beta for logistic."""
+        return getattr(self, self.noise_name)
+
+    def noise_fields(self) -> dict:
+        """The noise echo of every report, ``{"sigma2": ..., "beta": ...}``,
+        with None for the field that does not apply."""
+        return {"sigma2": None, "beta": None, self.noise_name: self.noise}
+
+    def inverse_link(self, t):
+        """Conditional mean of the output given the clean projection t = <a, x>.
+
+        linear: t itself; one-bit: 1 - 2*Phi(-t/sigma) (sign(t) when sigma2=0);
+        logistic: tanh(beta*t/2) (sign(t) when beta=inf).  Odd and monotone
+        nondecreasing for every channel; binary channels map into [-1, 1].
+        A scalar t gives a float, an array an array.
+        """
+        arr = np.asarray(t, dtype=np.float64)
+        out = self._link(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def link_slope(self, k: int) -> float:
+        """Per-sample correlation strength between the output and a support column.
+
+        This is the quantity whose square sets the top-k decoder's sample
+        cost: E[y_i A_{i,j}] for j in the support equals
+
+        * one-bit:   sqrt(2/pi) / sqrt(k + sigma2)
+        * logistic:  (1/2) * sqrt(2 / (2/beta^2 + k))   (a lower bound)
+        * linear:    1 / sqrt(k + sigma2), after normalizing by the output's
+          sub-Gaussian scale.
+        """
+        if not (isinstance(k, int) and k >= 1):
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        return self._slope(k)
+
+
 @dataclass(frozen=True)
-class _GaussianNoise:
+class _GaussianNoise(_Channel):
     """Shared base of the two channels driven by additive N(0, sigma2) noise."""
 
     noise_name = "sigma2"
@@ -61,6 +97,21 @@ class _GaussianNoise:
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
 
+    def output_scale(self, k: int) -> float:
+        """The variance scale k + sigma2 of the top-k closed form."""
+        return k + self.sigma2
+
+    def observe(self, t: np.ndarray, stream: RngStream) -> MeasurementVector:
+        """The channel's outputs for the clean projections t.
+
+        The stream feeds only the Gaussian noise z, so linear and one-bit
+        outputs taken with the same stream share z exactly.  Output i
+        depends on t_i and the stream's i-th draw alone.
+        """
+        if self.sigma2 > 0.0:
+            t = t + math.sqrt(self.sigma2) * sample_gaussian(stream, t.shape[0])
+        return MeasurementVector(self, sign_pm1(t) if self.binary else t)
+
 
 @dataclass(frozen=True)
 class Linear(_GaussianNoise):
@@ -68,6 +119,12 @@ class Linear(_GaussianNoise):
 
     tag = "linear"
     binary = False
+
+    def _link(self, t: np.ndarray) -> np.ndarray:
+        return t.copy()
+
+    def _slope(self, k: int) -> float:
+        return 1.0 / math.sqrt(k + self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -77,9 +134,17 @@ class OneBit(_GaussianNoise):
     tag = "onebit"
     binary = True
 
+    def _link(self, t: np.ndarray) -> np.ndarray:
+        if self.sigma2 == 0.0:
+            return sign_pm1(t)
+        return 1.0 - 2.0 * np.asarray(std_normal_cdf(-t / math.sqrt(self.sigma2)))
+
+    def _slope(self, k: int) -> float:
+        return math.sqrt(2.0 / math.pi) / math.sqrt(k + self.sigma2)
+
 
 @dataclass(frozen=True)
-class Logistic:
+class Logistic(_Channel):
     """Binary channel with P(y=+1) = 1/(1 + exp(-beta t)) at t = <a, x>.
 
     beta controls the noise level: beta = math.inf is admitted as the
@@ -101,6 +166,32 @@ class Logistic:
                 "use math.inf for the noiseless limit"
             )
 
+    def _inverse_beta2(self) -> float:
+        # 0 past beta = 2**27, where k + 2/beta^2 already rounds to k and
+        # before beta^2 overflows; inf once beta^2 underflows
+        return 0.0 if self.beta > 2.0**27 else 1.0 / max(self.beta ** 2, 5e-324)
+
+    def output_scale(self, k: int) -> float:
+        """The variance scale k + 1/beta^2 of the top-k closed form (k alone at beta = inf)."""
+        return k + self._inverse_beta2()
+
+    def observe(self, t: np.ndarray, stream: RngStream) -> MeasurementVector:
+        """The channel's outputs for the clean projections t, from the
+        stream's Bernoulli draws; output i depends on t_i and draw i alone."""
+        if math.isinf(self.beta):
+            return MeasurementVector(self, sign_pm1(t))
+        p = expit(self.beta * t)
+        u = _uniforms(stream, t.shape[0])
+        return MeasurementVector(self, np.where(u < p, 1.0, -1.0))
+
+    def _link(self, t: np.ndarray) -> np.ndarray:
+        if math.isinf(self.beta):
+            return sign_pm1(t)
+        return np.tanh(self.beta * t / 2.0)
+
+    def _slope(self, k: int) -> float:
+        return 0.5 * math.sqrt(2.0 / (2.0 * self._inverse_beta2() + k))
+
 
 Model = Union[Linear, OneBit, Logistic]
 
@@ -110,19 +201,6 @@ CHANNELS = (Linear, OneBit, Logistic)
 
 def model_tag(model: Model) -> str:
     return model.tag
-
-
-def noise_param(model: Model) -> float:
-    """The channel's scalar noise knob: sigma2 for linear/one-bit, beta for logistic."""
-    return getattr(model, model.noise_name)
-
-
-def output_scale(model: Model, k: int) -> float:
-    """The variance scale of the top-k closed form: k + sigma2 for linear and
-    one-bit, k + 1/beta^2 for logistic (k alone at beta = inf)."""
-    if isinstance(model, Logistic):
-        return k + (0.0 if math.isinf(model.beta) else 1.0 / model.beta ** 2)
-    return k + model.sigma2
 
 
 def sign_pm1(t) -> np.ndarray:
@@ -236,7 +314,7 @@ class MeasurementVector:
 def measure(
     A: SensingMatrix, x: SparseSignal, model: Model, stream: RngStream
 ) -> MeasurementVector:
-    """Observe x through A under the given channel: :func:`observe` of t = A x.
+    """Observe x through A under the given channel: its :meth:`observe` of t = A x.
 
     Row i depends on row i of A alone: t_i adds the support columns one
     at a time in index order, whatever the number of rows.
@@ -247,79 +325,4 @@ def measure(
         t = np.add.accumulate(A.entries[:, x.support_array], axis=1)[:, -1]
     else:
         t = np.zeros(A.m, dtype=np.float64)
-    return observe(t, model, stream)
-
-
-def observe(t: np.ndarray, model: Model, stream: RngStream) -> MeasurementVector:
-    """The channel's outputs for the clean projections t.
-
-    The stream feeds only the channel noise (Gaussian z for linear and
-    one-bit, the Bernoulli draws for logistic), so linear and one-bit
-    outputs taken with the same stream share z exactly.  Output i depends
-    on t_i and the stream's i-th draw alone.
-    """
-    m = t.shape[0]
-    if isinstance(model, _GaussianNoise):
-        if model.sigma2 > 0.0:
-            t = t + math.sqrt(model.sigma2) * sample_gaussian(stream, m)
-        return MeasurementVector(model, sign_pm1(t) if model.binary else t)
-
-    if isinstance(model, Logistic):
-        if math.isinf(model.beta):
-            return MeasurementVector(model, sign_pm1(t))
-        p = expit(model.beta * t)
-        u = _uniforms(stream, m)
-        return MeasurementVector(model, np.where(u < p, 1.0, -1.0))
-
-    raise TypeError(f"not a measurement model: {model!r}")
-
-
-def inverse_link(t, model: Model):
-    """Conditional mean of the output given the clean projection t = <a, x>.
-
-    linear: t itself; one-bit: 1 - 2*Phi(-t/sigma) (sign(t) when sigma2=0);
-    logistic: tanh(beta*t/2) (sign(t) when beta=inf).  Odd and monotone
-    nondecreasing for every channel; binary channels map into [-1, 1].
-    """
-    arr = np.asarray(t, dtype=np.float64)
-    if isinstance(model, Linear):
-        out = arr.copy()
-    elif isinstance(model, OneBit):
-        if model.sigma2 == 0.0:
-            out = sign_pm1(arr)
-        else:
-            out = 1.0 - 2.0 * np.asarray(std_normal_cdf(-arr / math.sqrt(model.sigma2)))
-    elif isinstance(model, Logistic):
-        if math.isinf(model.beta):
-            out = sign_pm1(arr)
-        else:
-            out = np.tanh(model.beta * arr / 2.0)
-    else:
-        raise TypeError(f"not a measurement model: {model!r}")
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def link_slope(model: Model, k: int) -> float:
-    """Per-sample correlation strength between the output and a support column.
-
-    This is the quantity whose square sets the top-k decoder's sample
-    cost: E[y_i A_{i,j}] for j in the support equals
-
-    * one-bit:   sqrt(2/pi) / sqrt(k + sigma2)
-    * logistic:  (1/2) * sqrt(2 / (2/beta^2 + k))   (a lower bound)
-    * linear:    1 / sqrt(k + sigma2), after normalizing by the output's
-      sub-Gaussian scale.
-    """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if isinstance(model, OneBit):
-        return math.sqrt(2.0 / math.pi) / math.sqrt(k + model.sigma2)
-    if isinstance(model, Logistic):
-        # k + 2/beta^2 is k past beta = 2**27, before beta^2 overflows; inf if it underflows
-        inv_beta2 = 0.0 if model.beta > 2.0**27 else 2.0 / max(model.beta ** 2, 5e-324)
-        return 0.5 * math.sqrt(2.0 / (inv_beta2 + k))
-    if isinstance(model, Linear):
-        return 1.0 / math.sqrt(k + model.sigma2)
-    raise TypeError(f"not a measurement model: {model!r}")
+    return model.observe(t, stream)

@@ -32,7 +32,7 @@ from binsense.bounds import (
     topk_sample_bound,
     topk_sample_bound_closed,
 )
-from binsense.model import Linear, Logistic, OneBit, link_slope
+from binsense.model import Linear, Logistic, OneBit
 from binsense.numerics import binary_entropy
 
 
@@ -134,7 +134,7 @@ class TestTopkSampleBound:
         # the bound divides by L^2, the smaller of L and L^2 only while L <= 1;
         # a beta whose square leaves the float range reads as its limit, 0 or inf
         for model in (Linear(sigma2), OneBit(sigma2), Logistic(beta)):
-            assert 0.0 <= link_slope(model, k) <= 1.0
+            assert 0.0 <= model.link_slope(k) <= 1.0
 
     def test_logistic_noiseless_closed_form(self):
         n, k = 512, 8

@@ -1,6 +1,8 @@
 """CLI contract: flags, output files, exit codes, determinism."""
 
+import hashlib
 import json
+import math
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -200,6 +202,25 @@ class TestExitCodes:
         code = main(["bounds", "--model", "linear", "--n", "100", "--k", "51", "--sigma2", "1"])
         assert code == 2
 
+    def test_bounds_beta_past_its_square_is_the_noiseless_limit(self, capsys):
+        # beta^2 overflows at beta = 1e200; every bound is finite and the
+        # same as at beta = inf
+        argv = ["bounds", "--model", "logistic", "--n", "100", "--k", "3", "--beta"]
+        assert main(argv + ["1e200"]) == 0
+        huge = json.loads(capsys.readouterr().out)
+        assert main(argv + ["inf"]) == 0
+        limit = json.loads(capsys.readouterr().out)
+        for name in ("alg_upper", "alg_upper_closed_form", "logistic_lower"):
+            assert math.isfinite(huge[name]) and huge[name] == limit[name]
+
+    def test_bounds_beta_whose_slope_vanishes_refused(self, capsys):
+        # beta^2 underflows at beta = 1e-200: the link slope is 0 and no
+        # sample count is finite
+        code = main(["bounds", "--model", "logistic", "--n", "100", "--k", "3", "--beta", "1e-200"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
@@ -221,3 +242,45 @@ class TestDeterminism:
         assert main(base + ["--workers", "1", "--out", str(a)]) == 0
         assert main(base + ["--workers", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# exit code and sha256 of stdout of small commands, recorded at a commit
+# whose output is the reference: any change to a printed byte shows here
+PINNED_OUTPUTS = [
+    ("bounds --model linear --sigma2 1 --n 1000 --k 10", 0,
+     "fe735952badc170aea16424bedbd7f217733f40cb381f732633f53e117ef3964"),
+    ("bounds --model linear --sigma2 0 --n 200 --k 5", 0,
+     "9506257694f9a84319a2b7a39bdc5fb10813811a666de41b0ef4e903ba8dd817"),
+    ("bounds --model onebit --sigma2 0 --n 500 --k 5 --mutual-info-cap 1", 0,
+     "f72986f91f8ae85ee02d7ac301e547b648479771e0032f2974d5ded2d4dd7eca"),
+    ("bounds --model onebit --sigma2 4 --n 1000 --k 10 --delta 0.05", 0,
+     "6d6f4e3919c0fe37e0282e719a3d6384bbce088131f9a1003ec15471b0015715"),
+    ("bounds --model logistic --beta inf --n 200 --k 4", 0,
+     "ad6778532b0856bfd5ebdbe2b699c452099930e7684431ec53873968c104d18d"),
+    ("bounds --model logistic --beta 0.3 --n 1000 --k 10 --delta 0.05", 0,
+     "668bc7e84bbfb0cf2e635995dacdf3525d59a126640be41786029221f1b3ccae"),
+    ("sweep --model onebit --sigma2 1 --n 64 --k 3 --m-grid 20:80:20 --trials 20 --seed 3", 0,
+     "ed3929af9f920ee3d43583bbad7a0c4345c742bbba8f038e5409dc8cc000e201"),
+    ("sweep --model logistic --beta 2 --n 64 --k 3 --m-grid 30:90:30 --trials 20 --seed 4", 0,
+     "ccfefa9aa2640a555da4ca27f537c9abfef319ee16174073fb534f3e5b040cdf"),
+    ("sweep --model linear --sigma2 1 --n 64 --k 3 --decoder quantize --m-grid 20:80:20 --trials 20 --seed 5", 0,
+     "a25b6ffedb3bd17c5e4a7a1dc5b37065de13ff00dc285055b182c467f808854b"),
+    ("sweep --model linear --sigma2 0.5 --n 12 --k 2 --decoder mle --m-grid 4:12:4 --trials 10 --seed 6", 0,
+     "d7612cdae0775abc5e87e0dd856c2664706ab88b68484b5f12b52aef9e4ff6d8"),
+    ("m95 --model onebit --sigma2 0 --n 64 --k 3 --m-lo 10 --m-hi 300 --trials-per-probe 20 --seed 7", 0,
+     "4e363c28e88f17c5ae0aab8e0b8502ab4fa15f90aa8606bb0496217a92145b79"),
+    ("check-moments --model onebit --sigma2 1 --k 3 --samples 2000 --seed 8", 0,
+     "79e6f7234e3da4f369a87b129a6cd2aa5da07a5eefd1daee4ec52959fb10fea1"),
+    ("check-moments --model logistic --beta 2 --k 3 --samples 2000 --seed 9", 0,
+     "68ace43d970bbb26649ce99e7cd0348b9fcf476d278a96fb92220339c11f4b22"),
+]
+
+
+def test_cli_output_bytes_are_pinned(capsys):
+    changed = []
+    for command, code, digest in PINNED_OUTPUTS:
+        got = main(command.split())
+        out = capsys.readouterr().out.encode()
+        if (got, hashlib.sha256(out).hexdigest()) != (code, digest):
+            changed.append(command)
+    assert changed == []

@@ -32,13 +32,13 @@ from binsense.harness import (
 )
 from binsense.decode import mle_decode_linear, quantize_then_decode, topk_correlation_decode
 from binsense.model import (
+    CHANNELS,
     Linear,
     Logistic,
     MeasurementVector,
     OneBit,
     SensingMatrix,
     gen_sensing_matrix,
-    link_slope,
     measure,
     random_signal,
 )
@@ -170,10 +170,11 @@ def _counting_draws(monkeypatch):
 
 
 def _counting_normals(monkeypatch):
-    """Record every Gaussian draw a trial makes through ``model``, a row at a
-    time, as (stream_id, start, count): single draws and the rows of a block."""
+    """Record every Gaussian draw a trial makes, a row at a time, as
+    (stream_id, start, count): single draws through ``model`` and the rows of
+    a block through ``harness``."""
     drawn = []
-    single, rows = model_module.sample_gaussian, model_module._gaussian_rows
+    single, rows = model_module.sample_gaussian, harness._gaussian_rows
 
     def counted_single(stream, count, *, start=0):
         drawn.append((stream.stream_id, start, count))
@@ -184,7 +185,7 @@ def _counting_normals(monkeypatch):
         return rows(streams, count, start, out)
 
     monkeypatch.setattr(model_module, "sample_gaussian", counted_single)
-    monkeypatch.setattr(model_module, "_gaussian_rows", counted_rows)
+    monkeypatch.setattr(harness, "_gaussian_rows", counted_rows)
     return drawn
 
 
@@ -196,11 +197,12 @@ def _outputs_with_clock_steps(monkeypatch, steps_of):
     """Make each top-k trial's outputs y_i = sqrt(steps_of(trial)[i]), so that
     its clock v(m) adds up the given steps and stays flat where they are 0."""
 
-    def observe(t, model, stream):
+    def observe(model, t, stream):
         trial = stream.stream_id // TRIAL_STREAM_SLOTS
         return MeasurementVector(model, np.sqrt(np.asarray(steps_of(trial), float)[: len(t)]))
 
-    monkeypatch.setattr(harness, "observe", observe)
+    for channel in CHANNELS:
+        monkeypatch.setattr(channel, "observe", observe)
 
 
 def _decode_scores(decode_fn, scores, k):
@@ -791,7 +793,7 @@ class TestExactLaw:
         if model.tag == "linear":
             a, var, cov, off = 1.0, k + sigma2 + 1.0, 1.0, k + sigma2
         else:
-            a = link_slope(model, k)
+            a = model.link_slope(k)
             var, cov, off = 1.0 - a * a, -a * a, 1.0
         stats = []
         block = harness._TopkBlock(config, 0, trials, m)

@@ -19,12 +19,8 @@ from binsense.model import (
     SensingMatrix,
     SparseSignal,
     gen_sensing_matrix,
-    inverse_link,
-    link_slope,
     measure,
     model_tag,
-    noise_param,
-    observe,
     random_signal,
     sample_projections,
     sign_pm1,
@@ -53,8 +49,8 @@ class TestModelSpecs:
         assert model_tag(Linear(1.0)) == "linear"
         assert model_tag(OneBit(0.0)) == "onebit"
         assert model_tag(Logistic(2.0)) == "logistic"
-        assert noise_param(OneBit(4.0)) == 4.0
-        assert noise_param(Logistic(0.5)) == 0.5
+        assert OneBit(4.0).noise == 4.0
+        assert Logistic(0.5).noise == 0.5
         # the registry order is the order the CLI lists the channels in
         assert [c.tag for c in CHANNELS] == ["linear", "onebit", "logistic"]
         assert [c.noise_name for c in CHANNELS] == ["sigma2", "sigma2", "beta"]
@@ -227,7 +223,7 @@ class TestMeasure:
         for model in (Linear(sigma2), OneBit(sigma2), Logistic(beta), Logistic(math.inf)):
             y = measure(A, x, model, RngStream(seed, 2))
             assert y.model == model
-            assert np.array_equal(y.values, observe(t, model, RngStream(seed, 2)).values)
+            assert np.array_equal(y.values, model.observe(t, RngStream(seed, 2)).values)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), m=st.integers(1, 60), extra=st.integers(0, 60),
@@ -261,26 +257,26 @@ class TestMeasure:
 
 class TestInverseLink:
     def test_zeros(self):
-        assert inverse_link(0.0, OneBit(2.0)) == 0.0
-        assert inverse_link(0.0, Logistic(3.0)) == 0.0
+        assert OneBit(2.0).inverse_link(0.0) == 0.0
+        assert Logistic(3.0).inverse_link(0.0) == 0.0
 
     def test_linear_identity(self):
         t = np.linspace(-4, 4, 11)
-        assert np.array_equal(inverse_link(t, Linear(1.0)), t)
+        assert np.array_equal(Linear(1.0).inverse_link(t), t)
 
     def test_onebit_at_one_sigma(self):
         # 1 - 2*Phi(-1), i.e. the mass within one standard deviation
-        assert inverse_link(2.0, OneBit(4.0)) == pytest.approx(0.6826894921370859, abs=1e-10)
+        assert OneBit(4.0).inverse_link(2.0) == pytest.approx(0.6826894921370859, abs=1e-10)
 
     def test_noiseless_links_are_signs(self):
         t = np.array([-3.0, 0.0, 2.0])
-        assert np.array_equal(inverse_link(t, OneBit(0.0)), [-1.0, 1.0, 1.0])
-        assert np.array_equal(inverse_link(t, Logistic(math.inf)), [-1.0, 1.0, 1.0])
+        assert np.array_equal(OneBit(0.0).inverse_link(t), [-1.0, 1.0, 1.0])
+        assert np.array_equal(Logistic(math.inf).inverse_link(t), [-1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("model", [OneBit(1.0), Logistic(0.7), OneBit(0.0), Logistic(math.inf)])
     def test_binary_links_bounded(self, model):
         t = np.linspace(-10, 10, 201)
-        vals = inverse_link(t, model)
+        vals = model.inverse_link(t)
         assert np.all(vals >= -1.0) and np.all(vals <= 1.0)
 
     @pytest.mark.parametrize(
@@ -290,9 +286,9 @@ class TestInverseLink:
         # oddness is checked away from t = 0: the noiseless links take the
         # value +1 there by the sign(0) = +1 convention
         t = np.linspace(-10, 10, 201)
-        vals = inverse_link(t, model)
+        vals = model.inverse_link(t)
         nonzero = t != 0.0
-        assert np.allclose(vals[nonzero], -inverse_link(-t[nonzero], model), atol=1e-12)
+        assert np.allclose(vals[nonzero], -model.inverse_link(-t[nonzero]), atol=1e-12)
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_empirical_conditional_mean(self):
@@ -309,55 +305,71 @@ class TestInverseLink:
                 mask = (t >= lo) & (t < hi)
                 count = mask.sum()
                 assert count > 1000
-                predicted = inverse_link(t[mask], model).mean()
+                predicted = model.inverse_link(t[mask]).mean()
                 se = y[mask].std(ddof=1) / math.sqrt(count)
                 assert abs(y[mask].mean() - predicted) <= 3.0 * se + 1e-12
 
 
 class TestLinkSlope:
     def test_onebit_value(self):
-        assert link_slope(OneBit(1.0), 10) == pytest.approx(0.24057124674551033, rel=1e-12)
+        assert OneBit(1.0).link_slope(10) == pytest.approx(0.24057124674551033, rel=1e-12)
 
     def test_logistic_value(self):
-        assert link_slope(Logistic(1.0), 2) == pytest.approx(0.35355339059327376, rel=1e-12)
+        assert Logistic(1.0).link_slope(2) == pytest.approx(0.35355339059327376, rel=1e-12)
 
     def test_logistic_noiseless_limit(self):
-        assert link_slope(Logistic(math.inf), 8) == pytest.approx(0.5 * math.sqrt(2.0 / 8.0), rel=1e-12)
+        assert Logistic(math.inf).link_slope(8) == pytest.approx(0.5 * math.sqrt(2.0 / 8.0), rel=1e-12)
 
     def test_linear_value(self):
-        assert link_slope(Linear(1.0), 3) == 0.5
+        assert Linear(1.0).link_slope(3) == 0.5
 
     def test_decreasing_in_noise(self):
-        assert link_slope(OneBit(16.0), 10) < link_slope(OneBit(0.0), 10)
-        assert link_slope(Logistic(0.1), 10) < link_slope(Logistic(10.0), 10)
+        assert OneBit(16.0).link_slope(10) < OneBit(0.0).link_slope(10)
+        assert Logistic(0.1).link_slope(10) < Logistic(10.0).link_slope(10)
 
 
-def channel_isinstance_lines(path) -> list:
-    """Line numbers of the isinstance calls in ``path`` that name a channel class."""
-    channels = {c.__name__ for c in CHANNELS}
-    lines = []
-    for node in ast.walk(ast.parse(Path(path).read_text())):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            continue
-        if node.func.id != "isinstance" or len(node.args) != 2:
-            continue
-        named = {
-            getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(node.args[1])
-        }
-        if named & channels:
-            lines.append(node.lineno)
-    return lines
+def channel_branch_lines(path) -> tuple:
+    """Line numbers in ``path`` of the isinstance calls that name a channel
+    class or one of its bases, and of the comparisons that read a ``.tag``,
+    with the function each comparison sits in."""
+    channels = {c.__name__ for channel in CHANNELS for c in channel.__mro__} - {"object"}
+    tree = ast.parse(Path(path).read_text())
+    owner = {
+        sub: node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for sub in ast.walk(node)
+    }  # innermost last: ast.walk visits outer functions first
+    isinstances, compares = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            named = {
+                getattr(sub, "id", None) or getattr(sub, "attr", None)
+                for arg in node.args[1:]
+                for sub in ast.walk(arg)
+            }
+            if named & channels:
+                isinstances.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, ast.Attribute) and op.attr == "tag" for op in operands):
+                compares.append((node.lineno, owner.get(node)))
+    return isinstances, compares
 
 
 def test_only_model_branches_on_channel_class():
-    # other modules read a channel's tag, noise_name and binary facts
+    # every channel law is a method of the channel, and other modules read a
+    # channel's binary and noise facts; the CLI alone compares a tag, to map
+    # --model to its class
     package = Path(binsense.__file__).parent
-    offenders = {
-        path.name: channel_isinstance_lines(path)
-        for path in sorted(package.glob("*.py"))
-        if path.name != "model.py"
+    found = {path.name: channel_branch_lines(path) for path in sorted(package.glob("*.py"))}
+    isinstances = {name: lines for name, (lines, _) in found.items() if lines}
+    compares = {
+        name: [line for line, owner in lines if (name, owner) != ("cli.py", "_model_from_args")]
+        for name, (_, lines) in found.items()
     }
-    assert {name: lines for name, lines in offenders.items() if lines} == {}
+    assert isinstances == {}
+    assert {name: lines for name, lines in compares.items() if lines} == {}
 
 
 def random_api_lines(path) -> tuple:
