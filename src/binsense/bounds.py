@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import Logistic, Model, OneBit
+from .model import Linear, Logistic, Model, OneBit
 from .numerics import binary_entropy
 
 __all__ = [
@@ -70,6 +70,24 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    if value is None or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_noisy(sigma2: float, power: float) -> None:
+    """Refuse a sigma2 the channel refuses, 0 (the noiseless regime), or one at
+    which the smallest capacity term divided by, log2(1 + power/sigma2), is 0."""
+    Linear(sigma2)  # finite and >= 0
+    if sigma2 == 0.0:
+        raise NoiselessRegimeError(
+            "bound undefined at sigma2=0: one exact measurement recovers the signal "
+            "(see the single-measurement decoder)"
+        )
+    if 1.0 + power / sigma2 == 1.0:
+        raise ValueError(f"bound undefined at sigma2={sigma2!r}: 1 + {power:g}/sigma2 rounds to 1")
+
+
 def fano_correction(n: int, k: int, delta: float) -> float:
     """Factor converting an exact-recovery converse into a delta-error one.
 
@@ -91,11 +109,7 @@ def all_or_nothing_threshold(n: int, k: int, sigma2: float) -> float:
     succeeds.  The ratio of logarithms is base-free.
     """
     _check_nk(n, k)
-    if sigma2 <= 0.0:
-        raise NoiselessRegimeError(
-            "threshold undefined at sigma2=0: one exact measurement recovers the "
-            "signal (see the single-measurement decoder)"
-        )
+    _check_noisy(sigma2, k)
     return 2.0 * k * math.log2(n / k) / math.log2(1.0 + k / sigma2)
 
 
@@ -103,8 +117,7 @@ def conjectured_alg_threshold(n: int, k: int, sigma2: float) -> float:
     """(2k + sigma2) * log2(n): the conjectured floor for efficient algorithms
     on the noisy linear channel."""
     _check_nk(n, k)
-    if sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2!r}")
+    Linear(sigma2)  # finite and >= 0
     return (2.0 * k + sigma2) * math.log2(n)
 
 
@@ -118,8 +131,7 @@ def topk_sample_bound(n: int, k: int, model: Model, c: float = 1.0) -> float:
     beta below about 1e-154) admits no finite count and raises ValueError.
     """
     _check_nk(n, k)
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    _check_positive("c", c)
     L = model.link_slope(k)
     if L == 0.0:
         raise ValueError(f"the link slope of {model!r} at k={k} is 0 in floating point")
@@ -133,8 +145,7 @@ def topk_sample_bound_closed(n: int, k: int, model: Model, c: float = 1.0) -> fl
     c * (k + 1/beta^2)* (log2 k + log2(n-k))   for logistic.
     """
     _check_nk(n, k)
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    _check_positive("c", c)
     return c * model.output_scale(k) * (math.log2(k) + math.log2(n - k))
 
 
@@ -146,8 +157,7 @@ def glm_fano_lower(n: int, k: int, mutual_info_cap: float, delta: float = 0.0) -
     binary outputs).
     """
     _check_nk(n, k)
-    if mutual_info_cap is None or mutual_info_cap <= 0.0:
-        raise ValueError("a positive per-measurement mutual information cap is required")
+    _check_positive("mutual_info_cap", mutual_info_cap)
     return k * math.log2(n / k) / mutual_info_cap * fano_correction(n, k, delta)
 
 
@@ -179,10 +189,7 @@ def linear_fano_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> floa
     """
     _check_nk(n, k)
     _check_delta(delta)
-    if sigma2 <= 0.0:
-        raise NoiselessRegimeError(
-            "bound undefined at sigma2=0: one exact measurement recovers the signal"
-        )
+    _check_noisy(sigma2, k)
     numer = k * math.log2(n / k) - (binary_entropy(delta) + delta * k * math.log2(n))
     denom = 0.5 * math.log2(1.0 + k / sigma2)
     return max(0.0, numer / denom)
@@ -236,10 +243,7 @@ def mle_sample_bound(n: int, k: int, sigma2: float) -> ScanBound:
     Requires k <= n/2.
     """
     _check_half(n, k)
-    if sigma2 <= 0.0:
-        raise NoiselessRegimeError(
-            "bound undefined at sigma2=0: one exact measurement recovers the signal"
-        )
+    _check_noisy(sigma2, 0.5)  # l = 1
     ls = np.arange(1, k + 1, dtype=np.float64)
     values = n * shell_entropy(ls, k, n) / (0.5 * np.log2(1.0 + ls / (2.0 * sigma2)))
     value, argmax_l = _scan_max(values)
@@ -258,10 +262,7 @@ def linear_shell_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> Sca
     """
     _check_half(n, k)
     _check_delta(delta)
-    if sigma2 <= 0.0:
-        raise NoiselessRegimeError(
-            "bound undefined at sigma2=0: one exact measurement recovers the signal"
-        )
+    _check_noisy(sigma2, 1.0)  # l = 1 gives the least, at least 1/sigma2
     ls = np.arange(1, k + 1, dtype=np.float64)
     numer = (
         n * shell_entropy(ls, k, n)
@@ -288,11 +289,7 @@ class CurveRow:
     argmax_l: int
 
 
-def mle_bound_curve(
-    n: int = 50_000,
-    sigma2: float = 1.0,
-    k_values=None,
-) -> list[CurveRow]:
+def mle_bound_curve(n: int, sigma2: float, k_values) -> list[CurveRow]:
     """m1/m2 table across sparsities for the maximum-likelihood bound.
 
     m1 is the exact integer-scan maximum of :func:`mle_sample_bound`;
@@ -301,13 +298,12 @@ def mle_bound_curve(
     h2(k/n).  m1 >= m2 whenever that point is an integer, and the two
     stay within a fraction of a percent of each other at desk scale.
     """
-    if k_values is None:
-        k_values = range(1000, 25_001, 1000)
     rows = []
     for k in k_values:
         k = int(k)
         scan = mle_sample_bound(n, k, sigma2)
         l_closed = k * (1.0 - k / n)
+        _check_noisy(sigma2, l_closed / 2.0)  # less than mle_sample_bound's 1/2 at k = 1
         m2 = n * shell_entropy(l_closed, k, n) / (
             0.5 * math.log2(1.0 + l_closed / (2.0 * sigma2))
         )
@@ -342,10 +338,9 @@ class BoundQuery:
     def __post_init__(self) -> None:
         _check_half(self.n, self.k)
         _check_delta(self.delta)
-        if self.c <= 0.0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
-        if self.mutual_info_cap is not None and self.mutual_info_cap <= 0.0:
-            raise ValueError("mutual_info_cap must be positive when given")
+        _check_positive("c", self.c)
+        if self.mutual_info_cap is not None:
+            _check_positive("mutual_info_cap", self.mutual_info_cap)
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,7 @@ def quantize(y: MeasurementVector) -> MeasurementVector:
     A linear vector becomes a one-bit vector over the same channel noise;
     a one-bit vector is returned unchanged (sign is idempotent).
     """
-    if not hasattr(y.model, "sigma2"):  # no Gaussian noise to carry
+    if y.model.noise_name != "sigma2":  # no Gaussian noise to carry
         raise ValueError("quantization applies to linear (or already one-bit) measurements")
     return MeasurementVector(OneBit(y.model.sigma2), sign_pm1(y.values))
 

@@ -49,7 +49,6 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .decode import (
     _check_prefixes,
@@ -79,8 +78,6 @@ __all__ = [
     "ROLE_SIGNAL",
     "ROLE_MATRIX",
     "ROLE_NOISE",
-    "ROLE_WALK",
-    "ROLE_BRIDGE",
     "BracketError",
     "TrialConfig",
     "TrialOutcome",
@@ -199,7 +196,7 @@ class _TopkBlock:
     nodes c - h and c + h, h the lowest set bit of c, with normals c of the
     bridge stream (samples [c n, (c + 1) n)) and the bridge's mean and
     variance taken on the clock (Levy's construction); a trial whose clock
-    is flat there copies node c - h and draws nothing.  Every node is thus
+    is flat there copies node c - h, its normals unused.  Every node is thus
     a fixed function of its own normals and those it is built from,
     whichever nodes were read before.  A node's rows are drawn in one
     sampler pass, each from its own trial's stream, and all arithmetic is
@@ -241,18 +238,12 @@ class _TopkBlock:
             lo, hi = self.walk(c - h), self.walk(c + h)
             v = self.clock
             left, span = v[:, c] - v[:, c - h], v[:, c + h] - v[:, c - h]
-            moving = span > 0.0
-            normals = np.zeros((len(v), self.n))
-            rows = np.flatnonzero(moving)
-            drawn = normals[: len(rows)]
-            _gaussian_rows([self.bridges[r] for r in rows], self.n, c * self.n, drawn)
-            if len(rows) < len(v):  # move the drawn rows to the rows they belong to
-                normals[rows] = drawn
+            normals = _gaussian_rows(self.bridges, self.n, c * self.n, np.empty((len(v), self.n)))
             with np.errstate(divide="ignore", invalid="ignore"):
                 w = lo + (left / span)[:, None] * (hi - lo)
                 w += np.sqrt(left * (v[:, c + h] - v[:, c]) / span)[:, None] * normals
-            if not moving.all():
-                w[~moving] = lo[~moving]
+            flat = span == 0.0
+            w[flat] = lo[flat]
             self.nodes[c] = w
         return w
 
@@ -453,7 +444,7 @@ def _counter(config: TrialConfig, trials: int, workers: int, marks: int, probes:
             yield lambda ms: _block_counts(config, ms, 0, trials, keep)
             return
         edges = [round(i * trials / workers) for i in range(workers + 1)]
-        blocks = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+        blocks = list(zip(edges[:-1], edges[1:]))  # none empty: workers <= trials
         with ExitStack() as stack:
             # a single-process pool a block, so each kept trial lives in one process
             pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in blocks]
@@ -481,18 +472,19 @@ def count_successes(config: TrialConfig, trials: int, workers: int = 1) -> int:
     return _success_counts(config, (config.m,), trials, workers)[0]
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+# the two-sided 95% normal quantile, float(scipy.special.ndtri(0.975))
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """95% Wilson score interval for a binomial proportion."""
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-    z = float(ndtri(0.5 + confidence / 2.0))
     p = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # the degenerate endpoints are exactly 0 and 1; keep them that way
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
@@ -539,13 +531,10 @@ def sweep(config: TrialConfig, m_grid, trials: int, workers: int = 1) -> SweepRe
     samples of the same underlying instances at growing m; each trial is
     set up once and judged at every m of the grid.
     """
-    grid = [int(m) for m in m_grid]
-    if not grid:
-        raise ValueError("m_grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"m_grid must be strictly ascending, got {grid}")
+    grid = tuple(int(m) for m in m_grid)
+    _check_prefixes(grid, max(grid, default=1))
     rows = []
-    for m, successes in zip(grid, _success_counts(config, tuple(grid), trials, workers)):
+    for m, successes in zip(grid, _success_counts(config, grid, trials, workers)):
         lo, hi = wilson_interval(successes, trials)
         rows.append(SweepRow(m, trials, successes, successes / trials, lo, hi))
     return SweepResult(config, tuple(rows))
@@ -642,10 +631,16 @@ class MomentCheck:
     samples: int
 
 
-def _z_score(estimate: float, target: float, std_error: float) -> float:
+def _moment(values: np.ndarray, target: float) -> MomentCheck:
+    """The sample mean of ``values`` against ``target``, with its standard
+    error and z-score (0 for an exact match with no spread, else inf)."""
+    estimate = float(values.mean())
+    std_error = float(values.std(ddof=1) / math.sqrt(len(values)))
     if std_error == 0.0:
-        return 0.0 if estimate == target else math.inf
-    return (estimate - target) / std_error
+        z = 0.0 if estimate == target else math.inf
+    else:
+        z = (estimate - target) / std_error
+    return MomentCheck(estimate, target, std_error, z, len(values))
 
 
 def moment_check_onebit(
@@ -661,10 +656,7 @@ def moment_check_onebit(
     (the link slope); outside the support the output and the column are
     uncorrelated, so the target is 0.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2!r}")
+    slope = OneBit(sigma2).link_slope(k)  # checks k and sigma2
     if not (isinstance(samples, int) and samples >= 2):
         raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
     stream = RngStream(master_seed)
@@ -672,11 +664,7 @@ def moment_check_onebit(
     t = g[:, :k].sum(axis=1)
     y = sign_pm1(t + math.sqrt(sigma2) * g[:, k])
     column = g[:, 0] if in_support else g[:, k + 1]
-    prod = y * column
-    estimate = float(prod.mean())
-    std_error = float(prod.std(ddof=1) / math.sqrt(samples))
-    target = OneBit(sigma2).link_slope(k) if in_support else 0.0
-    return MomentCheck(estimate, target, std_error, _z_score(estimate, target, std_error), samples)
+    return _moment(y * column, slope if in_support else 0.0)
 
 
 def moment_check_logistic(
@@ -699,7 +687,4 @@ def moment_check_logistic(
     stream = RngStream(master_seed)
     t = math.sqrt(k) * sample_gaussian(stream, samples)
     w = np.exp(-((beta * t) ** 2) / 4.0)
-    estimate = float(w.mean())
-    std_error = float(w.std(ddof=1) / math.sqrt(samples))
-    target = math.sqrt(2.0 / (2.0 + beta * beta * k))
-    return MomentCheck(estimate, target, std_error, _z_score(estimate, target, std_error), samples)
+    return _moment(w, math.sqrt(2.0 / (2.0 + beta * beta * k)))

@@ -12,6 +12,7 @@ __all__ = ["line_chart"]
 
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
 
 
@@ -24,15 +25,7 @@ def _span(values):
     return lo - pad, hi + pad
 
 
-def line_chart(
-    series,
-    *,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 720,
-    height: int = 480,
-) -> str:
+def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render ``series`` = [(label, xs, ys), ...] to an SVG string."""
     series = [(str(label), list(map(float, xs)), list(map(float, ys))) for label, xs, ys in series]
     if not series or any(len(xs) != len(ys) or not xs for _, xs, ys in series):
@@ -40,8 +33,8 @@ def line_chart(
 
     x_lo, x_hi = _span([x for _, xs, _ in series for x in xs])
     y_lo, y_hi = _span([y for _, _, ys in series for y in ys])
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -50,13 +43,13 @@ def line_chart(
         return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.2f}" y="18" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.2f}" y="18" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
 
@@ -89,7 +82,7 @@ def line_chart(
     )
     if x_label:
         parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 8:.2f}" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 8:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>'
         )
     if y_label:

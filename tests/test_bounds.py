@@ -322,17 +322,17 @@ class TestScanBounds:
 
 class TestBoundCurve:
     def test_default_grid_shape(self):
-        rows = mle_bound_curve()
+        rows = mle_bound_curve(50_000, 1.0, range(1000, 25_001, 1000))
         assert len(rows) == 25
         assert rows[0].k == 1000 and rows[-1].k == 25_000
 
     def test_m1_dominates_m2(self):
-        for row in mle_bound_curve():
+        for row in mle_bound_curve(50_000, 1.0, range(1000, 25_001, 1000)):
             assert row.m1 >= row.m2
 
     def test_value_gap_small(self):
         # the two curves track each other within half a percent
-        for row in mle_bound_curve():
+        for row in mle_bound_curve(50_000, 1.0, range(1000, 25_001, 1000)):
             assert (row.m1 - row.m2) / row.m1 <= 0.02
 
     def test_small_grid_values(self):
@@ -415,3 +415,40 @@ class TestBoundReport:
         report = bound_report(BoundQuery(1024, 16, OneBit(1.0), delta=0.3, mutual_info_cap=1.0))
         for value in (report.onebit_lower, report.glm_lower, report.alg_upper):
             assert value is None or value >= 0.0
+
+
+class TestParameterGuards:
+    # the noisy linear channel's formulas divide by log2(1 + snr/sigma2): each
+    # bound with the smallest snr it divides by (m2 at k = 1: (1 - 1/n)/2)
+    NOISY = [
+        (10.0, lambda s2: all_or_nothing_threshold(1000, 10, s2)),
+        (10.0, lambda s2: linear_fano_lower(1000, 10, s2)),
+        (0.5, lambda s2: mle_sample_bound(1000, 10, s2).value),
+        (1.0, lambda s2: linear_shell_lower(1000, 10, s2).value),
+        (0.375, lambda s2: mle_bound_curve(4, s2, [1])[0].m2),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(NOISY)))
+    def test_noisy_bounds_refuse_sigma2_outside_their_formula(self, case):
+        snr, evaluate = self.NOISY[case]
+        with pytest.raises(NoiselessRegimeError):
+            evaluate(0.0)
+        # 1 + x rounds to 1 for x <= 2**-53; each bound still answers just below
+        edge = snr / 2.0**-53
+        for sigma2 in (-1.0, math.nan, math.inf, 1e300, edge):
+            with pytest.raises(ValueError) as caught:
+                evaluate(sigma2)
+            assert not isinstance(caught.value, NoiselessRegimeError)
+        assert math.isfinite(evaluate(edge * 0.99))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_constants_must_be_finite_and_positive(self, value):
+        for call in (
+            lambda: topk_sample_bound(100, 5, OneBit(1.0), value),
+            lambda: topk_sample_bound_closed(100, 5, OneBit(1.0), value),
+            lambda: glm_fano_lower(100, 5, value),
+            lambda: BoundQuery(100, 5, OneBit(1.0), c=value),
+            lambda: BoundQuery(100, 5, OneBit(1.0), mutual_info_cap=value),
+        ):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()

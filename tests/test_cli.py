@@ -213,6 +213,34 @@ class TestExitCodes:
         for name in ("alg_upper", "alg_upper_closed_form", "logistic_lower"):
             assert math.isfinite(huge[name]) and huge[name] == limit[name]
 
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("bounds --model linear --sigma2 1e17 --n 1000 --k 10", "at sigma2=1e+17: 1 + 10/sigma2"),
+            ("bounds --model linear --sigma2 1e16 --n 1000 --k 10", "at sigma2=1e+16: 1 + 0.5/sigma2"),
+            ("plot1 --sigma2 inf", "sigma2 must be finite and >= 0, got inf"),
+            ("plot1 --sigma2 1e300", "at sigma2=1e+300: 1 + 0.5/sigma2"),
+            ("plot1 --sigma2 nan", "sigma2 must be finite and >= 0, got nan"),
+            ("plot1 --sigma2 -1", "sigma2 must be finite and >= 0, got -1.0"),
+            ("bounds --model onebit --sigma2 1 --n 1000 --k 10 --c-const nan",
+             "c must be finite and positive, got nan"),
+            ("bounds --model onebit --sigma2 1 --n 1000 --k 10 --c-const inf",
+             "c must be finite and positive, got inf"),
+            ("bounds --model onebit --sigma2 1 --n 1000 --k 10 --mutual-info-cap nan",
+             "mutual_info_cap must be finite and positive, got nan"),
+            ("bounds --model onebit --sigma2 1 --n 1000 --k 10 --mutual-info-cap inf",
+             "mutual_info_cap must be finite and positive, got inf"),
+        ],
+    )
+    def test_bound_parameters_outside_their_formulas_refused(self, capsys, command, message):
+        # a sigma2 the channel refuses or whose capacity term rounds to 0, and a
+        # constant that is not finite, exit 2 with one line and print nothing
+        code = main(command.split())
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_bounds_beta_whose_slope_vanishes_refused(self, capsys):
         # beta^2 underflows at beta = 1e-200: the link slope is 0 and no
         # sample count is finite
@@ -273,6 +301,10 @@ PINNED_OUTPUTS = [
      "79e6f7234e3da4f369a87b129a6cd2aa5da07a5eefd1daee4ec52959fb10fea1"),
     ("check-moments --model logistic --beta 2 --k 3 --samples 2000 --seed 9", 0,
      "68ace43d970bbb26649ce99e7cd0348b9fcf476d278a96fb92220339c11f4b22"),
+    ("plot1 --n 5000 --k-min 100 --k-max 1000 --k-step 300", 0,
+     "49eabb5bc766af7c816bd9b574f62ff51792bb905b89323da85d519e02d4e12a"),
+    ("simulate --model onebit --sigma2 1 --n 64 --k 3 --m 40 --trials 30 --seed 11", 0,
+     "f8549ff52bd53456139168c17437c66b01f2fa076f65c3f5a47a0d8ca56d6784"),
 ]
 
 

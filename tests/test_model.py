@@ -1,6 +1,7 @@
 """Channels, signals, and designs: contracts, links, and Monte Carlo checks."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -330,9 +331,16 @@ class TestLinkSlope:
 
 def channel_branch_lines(path) -> tuple:
     """Line numbers in ``path`` of the isinstance calls that name a channel
-    class or one of its bases, and of the comparisons that read a ``.tag``,
-    with the function each comparison sits in."""
+    class or one of its bases and the hasattr calls that probe a channel's
+    attribute, and of the comparisons that read a ``.tag``, with the
+    function each comparison sits in."""
     channels = {c.__name__ for channel in CHANNELS for c in channel.__mro__} - {"object"}
+    attributes = {
+        name
+        for channel in CHANNELS
+        for name in [*dir(channel), *(f.name for f in dataclasses.fields(channel))]
+        if not name.startswith("__")
+    }
     tree = ast.parse(Path(path).read_text())
     owner = {
         sub: node.name
@@ -349,6 +357,9 @@ def channel_branch_lines(path) -> tuple:
                 for sub in ast.walk(arg)
             }
             if named & channels:
+                isinstances.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr":
+            if getattr(node.args[1], "value", None) in attributes:
                 isinstances.append(node.lineno)
         elif isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
