@@ -6,12 +6,13 @@ toward the smaller column index, and equal MLE residuals toward the
 lexicographically smaller support.  Gaussian inputs make exact ties a
 measure-zero event, but tests need reproducible answers.
 
-Both statistics are sums over rows, and both are added up one row at a
-time in row order.  The score or residual of the first m rows is thus a
-function of those rows alone, so one pass over a tall matrix yields the
-exact MLE of every row prefix (:func:`mle_prefix_decode`), equal bit for
-bit to decoding the prefix on its own.  The MLE oracle enumerates its
-candidates from a cached lexicographic table of supports.
+Both statistics are sums over rows, added one row at a time in row
+order by ``np.add.reduce(axis=0)`` over rows x columns (or candidates).
+The score or residual of the first m rows is thus a function of those
+rows alone, so one pass over a tall matrix yields the exact MLE of every
+row prefix (:func:`mle_prefix_decode`), equal bit for bit to decoding
+the prefix on its own.  The MLE oracle enumerates its candidates from a
+cached lexicographic table of supports.
 
 The Monte Carlo harness judges top-k trials from the scores' sufficient
 statistics without drawing a matrix; the decoders here are the library
@@ -118,14 +119,15 @@ def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> D
     return DecodeResult(_top_k_indices(scores, k), "topk", scores)
 
 
-# squared residuals held at once by the MLE oracle (candidates x rows)
-_MLE_BLOCK = 1 << 13
+# squared residuals the MLE oracle holds at once (rows x candidates)
+_MLE_BLOCK = 1 << 15
 
 
 def _mle_footprint(m: int, n: int) -> int:
-    """Bytes :func:`mle_prefix_decode` holds for an m x n matrix: the matrix,
-    its column-major copy and a block of squared residuals."""
-    return (2 * m * n + _MLE_BLOCK) * 8
+    """Bytes :func:`mle_prefix_decode` holds for an m x n matrix: the matrix
+    and a block of squared residuals (for more supports than the block
+    holds, one row of them and their sums instead)."""
+    return (m * n + _MLE_BLOCK) * 8
 
 
 @functools.lru_cache(maxsize=1)
@@ -152,12 +154,13 @@ def mle_prefix_decode(
 ) -> np.ndarray:
     """Exhaustive MLE support of the first m rows, for each m in the ascending ``ms``.
 
-    One pass over all C(n, k) supports in lexicographic order, a block of
-    candidates at a time: each candidate's squared residuals are summed
-    row by row (a cumulative sum) and read at every m, and a candidate
-    displaces the best one at m only with a strictly smaller sum, so
-    equal residuals keep the lexicographically smallest support.
-    Returns a (len(ms), k) array.
+    One pass over the rows, a few at a time, with the squared residuals
+    of all C(n, k) supports in lexicographic order across each row.  The
+    sums so far are added onto the first row of a piece, which is then
+    reduced row by row, so every sum is the running sum
+    ((s + r_lo) + r_lo+1) + ....  At each m the first minimum wins: equal
+    residuals keep the lexicographically smallest support.  Returns a
+    (len(ms), k) array.
     """
     if y.model.binary:
         raise ValueError("maximum-likelihood decoding is implemented for the linear channel only")
@@ -171,27 +174,27 @@ def mle_prefix_decode(
             f"C({A.n}, {k}) = {n_candidates} supports exceeds the budget of "
             f"{max_candidates}; shrink the instance or raise max_candidates"
         )
-    rows = _check_prefixes(ms, A.m)
-    cols = np.ascontiguousarray(A.entries[: rows[-1]].T)  # column i of A is row i here
-    yv = y.values[: rows[-1]]
-    best_ss = np.full(rows.size, math.inf)
-    best = np.zeros((rows.size, k), dtype=np.int64)
+    marks = _check_prefixes(ms, A.m).tolist()
     supports = _supports(A.n, k)
-    per_block = max(1, _MLE_BLOCK // int(rows[-1]))
-    for first in range(0, len(supports), per_block):
-        block = supports[first : first + per_block]
-        fit = cols[block[:, 0]]
+    step = max(1, _MLE_BLOCK // len(supports))  # rows held at once, every candidate a column
+    best = np.empty((len(marks), k), dtype=np.int64)
+    sums = np.zeros(len(supports))  # each candidate's squared residuals so far
+    lo = j = 0
+    for hi in sorted(set(marks).union(range(step, marks[-1], step))):
+        a = A.entries[lo:hi]
+        fit = np.take(a, supports[:, 0], axis=1)  # C order; a[:, idx] would be F order
         for p in range(1, k):
-            fit += cols[block[:, p]]
-        np.subtract(yv, fit, out=fit)  # residuals, one candidate per row
+            fit += np.take(a, supports[:, p], axis=1)
+        np.subtract(y.values[lo:hi, None], fit, out=fit)  # residuals
         fit *= fit
-        np.cumsum(fit, axis=1, out=fit)
-        ss = fit[:, rows - 1]
-        first = ss.argmin(axis=0)  # the first minimum: lexicographically smallest
-        low = ss[first, np.arange(rows.size)]
-        better = low < best_ss
-        best_ss[better] = low[better]
-        best[better] = block[first[better]]
+        fit[0] += sums  # sums + r_lo, bit for bit: float addition commutes
+        # rows in order; a lone column would be summed pairwise, but then
+        # the one candidate wins whatever its sum
+        sums = np.add.reduce(fit, axis=0)
+        if hi == marks[j]:
+            best[j] = supports[sums.argmin()]  # the first minimum: lexicographically smallest
+            j += 1
+        lo = hi
     return best
 
 

@@ -356,8 +356,8 @@ def _block_counts(
 # _POOL_PROBE a probe; below that the call runs in the calling process.
 # Measured with 1 and 2 workers on a 2-vCPU host (see CHANGES.md): top-k
 # sweeps broke even at about 1.3 Mi normals, searches of 13 probes at
-# about 6 Mi, and MLE sweeps at 3.5-4 Mi candidate rows, so a candidate
-# row counts as a third of a normal.
+# about 6 Mi, and MLE sweeps (n=20, k=3) at 3.5-5.2 Mi candidate rows,
+# so a candidate row counts as a third of a normal.
 _POOL_START = 0.9 * 2**20
 _POOL_PROBE = 0.4 * 2**20
 _MLE_ROW_COST = 1 / 3

@@ -230,6 +230,9 @@ class TestExitCodes:
              "mutual_info_cap must be finite and positive, got nan"),
             ("bounds --model onebit --sigma2 1 --n 1000 --k 10 --mutual-info-cap inf",
              "mutual_info_cap must be finite and positive, got inf"),
+            # bounds that overflow to inf, which JSON cannot write
+            ("bounds --model onebit --sigma2 1.7e308 --n 1000 --k 10", "a bound overflows a float"),
+            ("bounds --model logistic --beta 3e-154 --n 1000 --k 10", "a bound overflows a float"),
         ],
     )
     def test_bound_parameters_outside_their_formulas_refused(self, capsys, command, message):
@@ -305,6 +308,10 @@ PINNED_OUTPUTS = [
      "49eabb5bc766af7c816bd9b574f62ff51792bb905b89323da85d519e02d4e12a"),
     ("simulate --model onebit --sigma2 1 --n 64 --k 3 --m 40 --trials 30 --seed 11", 0,
      "f8549ff52bd53456139168c17437c66b01f2fa076f65c3f5a47a0d8ca56d6784"),
+    ("sweep --model linear --sigma2 0.25 --n 20 --k 3 --decoder mle --m-grid 10:400:10 --trials 5 --seed 12", 0,
+     "dfb3db1710f1fa32878953d090168540c4c58b89a18820d5924fff2099cc500a"),
+    ("m95 --model linear --sigma2 1 --n 12 --k 2 --decoder mle --m-lo 2 --m-hi 60 --trials-per-probe 40 --seed 13", 0,
+     "163d42110b106a5c16f25d87cea45eb3e31c18a4e0cc5bfd3e078f031d3e64df"),
 ]
 
 

@@ -41,6 +41,33 @@ def _linear(values):
     return MeasurementVector(Linear(0.0), np.asarray(values, dtype=np.float64))
 
 
+def _candidate_major_mle(A, y, k, ms, budget=1 << 13):
+    """The MLE prefix kernel as it was before the rows x candidates layout:
+    one candidate's residuals per row of a block, summed with np.cumsum."""
+    rows = np.asarray(ms)
+    cols = np.ascontiguousarray(A[: rows[-1]].T)
+    yv = y[: rows[-1]]
+    best_ss = np.full(rows.size, math.inf)
+    best = np.zeros((rows.size, k), dtype=np.int64)
+    supports = np.array(list(itertools.combinations(range(A.shape[1]), k)))
+    per_block = max(1, budget // int(rows[-1]))
+    for first in range(0, len(supports), per_block):
+        block = supports[first : first + per_block]
+        fit = cols[block[:, 0]]
+        for p in range(1, k):
+            fit += cols[block[:, p]]
+        np.subtract(yv, fit, out=fit)
+        fit *= fit
+        np.cumsum(fit, axis=1, out=fit)
+        ss = fit[:, rows - 1]
+        first = ss.argmin(axis=0)
+        low = ss[first, np.arange(rows.size)]
+        better = low < best_ss
+        best_ss[better] = low[better]
+        best[better] = block[first[better]]
+    return best
+
+
 class TestTopkDecoder:
     def test_hand_example(self):
         # two dot products by hand: scores (2, 0, 0) -> support {0}
@@ -245,7 +272,8 @@ class TestPrefixDecoding:
     @pytest.mark.parametrize("candidates", [1, 3, 64])
     def test_scores_do_not_depend_on_the_block_size(self, monkeypatch, candidates):
         # the MLE's scores are its residual sums, added here one row at a time
-        # for every support; blocks of 1, 3 or 64 candidates pick the same minima
+        # for every support; holding 200, 600 or 12800 residuals at once (1, 2
+        # or 58 rows of the 220 supports) picks the same minima
         _, A, y = self._instance(Linear(4.0), m=200)
         ms = [1, 2, 3, 62, 63, 64, 65, 66, 127, 128, 129, 130, 199, 200]
         supports = np.array(list(itertools.combinations(range(A.n), 3)))
@@ -279,6 +307,59 @@ class TestPrefixDecoding:
         assert np.array_equal(np.add.reduce(rows, axis=0), expected)
         assert np.array_equal(np.add.accumulate(rows, axis=0)[-1], expected)
 
+    @pytest.mark.parametrize("rows", [1, 2, 16, 65])
+    def test_mle_residuals_add_in_row_order(self, monkeypatch, rows):
+        # y = 0, so a support's squared residuals are its column squared.
+        # Column 2 holds 1.0 and then 64 rows of 2**-27: row by row its sum
+        # stays exactly 1.0, while summed pairwise, or with the small rows
+        # first, it passes column 1's 1 + 2**-51 and column 1 would win.
+        # The oracle holds 1, 2, 16 or all 65 rows of the 4 supports at once
+        A = np.zeros((65, 4))
+        A[:, [0, 3]] = 3.0
+        A[0, 1] = 1.0 + 2.0**-52
+        A[0, 2], A[1:, 2] = 1.0, 2.0**-27
+        squares = A * A
+        assert squares[1:, 2].sum() + squares[0, 2] > squares[:, 1].sum()  # reordered
+        assert np.sum(squares[:, 2]) > np.sum(squares[:, 1])  # pairwise
+        monkeypatch.setattr(decode, "_MLE_BLOCK", rows * 4)
+        A, y = SensingMatrix(A), _linear(np.zeros(65))
+        for ms in ([65], [1, 65], [1, 2, 64, 65], list(range(1, 66))):
+            assert mle_prefix_decode(A, y, 1, ms).tolist() == [[2]] * len(ms)
+        # a table of one support, whatever its sums
+        assert mle_prefix_decode(A, y, 4, [1, 65]).tolist() == [[0, 1, 2, 3]] * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 40),
+        n=st.integers(1, 9),
+        block=st.one_of(st.integers(1, 100), st.integers(1, 1 << 12)),
+        kind=st.sampled_from(["gaussian", "integer", "dyadic"]),
+    )
+    def test_mle_matches_the_candidate_major_kernel(self, data, m, n, block, kind):
+        # the rows x candidates kernel against a copy of the candidates x rows
+        # kernel it replaced, which summed each candidate with np.cumsum;
+        # block is the number of squared residuals held at once.
+        # Integer entries make exact ties common; dyadic ones (a first row
+        # of 1 or 1 + 2**-52 over rows of 0 or +-2**-27) make the picks
+        # depend on the order of the additions
+        k = data.draw(st.integers(1, min(4, n)))
+        ms = sorted(data.draw(st.sets(st.integers(1, m), min_size=1, max_size=8)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "gaussian":
+            A = rng.standard_normal((m, n))
+            y = A[:, :k].sum(axis=1) + rng.standard_normal(m)
+        elif kind == "integer":
+            A, y = rng.integers(-1, 2, (m, n)).astype(float), rng.integers(-2, 3, m).astype(float)
+        else:
+            A, y = rng.integers(-1, 2, (m, n)) * 2.0**-27, np.zeros(m)
+            A[0] = rng.choice([1.0, 1.0 + 2.0**-52], n)
+        expected = _candidate_major_mle(A, y, k, ms)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decode, "_MLE_BLOCK", block)
+            got = mle_prefix_decode(SensingMatrix(A), _linear(y), k, ms)
+        assert np.array_equal(got, expected)
+
     def test_single_column_scores_add_in_row_order(self):
         # one column: np.add.reduce would sum it pairwise, so the decoder accumulates
         A = SensingMatrix(np.array([[1.0]] + [[2.0**-53]] * 64))
@@ -296,7 +377,7 @@ class TestPrefixDecoding:
         _, A, y = self._instance(Linear(4.0), m=30)
         ms = list(range(1, 31))
         whole = mle_prefix_decode(A, y, 3, ms)
-        monkeypatch.setattr(decode, "_MLE_BLOCK", 30)  # one candidate per block
+        monkeypatch.setattr(decode, "_MLE_BLOCK", 30)  # one row of residuals at a time
         assert np.array_equal(mle_prefix_decode(A, y, 3, ms), whole)
 
     def test_support_table_is_lexicographic_read_only_and_kept(self):
