@@ -380,12 +380,10 @@ class BoundReport:
         return {**asdict(self), "query": query, "notes": list(self.notes)}
 
     def to_json(self) -> str:
-        report = self.to_dict()
-        try:  # the query may echo beta = inf; a bound must be a finite number
-            json.dumps({**report, "query": None}, allow_nan=False)
+        try:
+            return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
         except ValueError:
             raise ValueError("a bound overflows a float at this query; no JSON number holds it") from None
-        return json.dumps(report, indent=2) + "\n"
 
 
 def bound_report(query: BoundQuery) -> BoundReport:

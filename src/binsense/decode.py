@@ -11,8 +11,10 @@ order by ``np.add.reduce(axis=0)`` over rows x columns (or candidates).
 The score or residual of the first m rows is thus a function of those
 rows alone, so one pass over a tall matrix yields the exact MLE of every
 row prefix (:func:`mle_prefix_decode`), equal bit for bit to decoding
-the prefix on its own.  The MLE oracle enumerates its candidates from a
-cached lexicographic table of supports.
+the prefix on its own.  The MLE oracle enumerates its candidates in
+lexicographic order and builds their column sums level by level from a
+cached plan: an l-subset's sum is its (l-1)-prefix's plus its last
+column, the same additions in the same order as summing its columns.
 
 The Monte Carlo harness judges top-k trials from the scores' sufficient
 statistics without drawing a matrix; the decoders here are the library
@@ -22,7 +24,6 @@ API and the reference its tests hold it to.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
 def _check_prefixes(ms, m: int) -> np.ndarray:
     rows = np.asarray(ms, dtype=np.int64)
     ok = rows.ndim == 1 and rows.size > 0 and 1 <= rows[0] and rows[-1] <= m
-    if not (ok and np.all(np.diff(rows) > 0)):
+    if not (ok and (rows[1:] > rows[:-1]).all()):
         raise ValueError(f"prefix lengths must be strictly ascending within [1, {m}], got {ms!r}")
     return rows
 
@@ -119,30 +120,83 @@ def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> D
     return DecodeResult(_top_k_indices(scores, k), "topk", scores)
 
 
-# squared residuals the MLE oracle holds at once (rows x candidates)
-_MLE_BLOCK = 1 << 15
+# squared residuals the MLE oracle holds at once (rows x its two widest levels)
+_MLE_BLOCK = 1 << 16
 
 
-def _mle_footprint(m: int, n: int) -> int:
-    """Bytes :func:`mle_prefix_decode` holds for an m x n matrix: the matrix
-    and a block of squared residuals (for more supports than the block
-    holds, one row of them and their sums instead)."""
-    return (m * n + _MLE_BLOCK) * 8
+def _levels(n: int, k: int) -> tuple:
+    """Sizes of the MLE oracle's levels 1..k, and the level it starts from.
+
+    Level l holds the C(n - k + l, l) l-subsets of range(n) that begin
+    some k-subset.  The start level j is gathered column by column, j
+    gathers a subset, and each level above it costs two: its parent's sum
+    in the level below and its last column.  j minimises the elements
+    gathered, and a tie keeps the higher j (fewer levels); j = k gathers
+    every support's k columns directly.
+    """
+    sizes = [math.comb(n - k + l, l) for l in range(1, k + 1)]
+    start = min(range(k, 0, -1), key=lambda j: j * sizes[j - 1] + 2 * sum(sizes[j:]))
+    return sizes, start
+
+
+def _index(count: int) -> np.dtype:
+    """The smallest unsigned type that indexes ``count`` items."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+def _mle_footprint(m: int, n: int, k: int, max_candidates: int) -> int:
+    """Bytes :func:`mle_prefix_decode` holds for an m x n matrix and k: the
+    matrix; its room for a piece, two levels and a gathered column, each
+    at most ``_MLE_BLOCK`` residuals or one row of supports; the running
+    sums and an index numpy widens to gather with; :func:`_plan`'s tables;
+    and 64 KiB for the trial's signal, outputs and bookkeeping.  Beyond
+    the budget it holds the matrix alone, as the supports are refused."""
+    if math.comb(n, k) > max_candidates:
+        return m * n * 8
+    sizes, start = _levels(n, k)
+    column = _index(n).itemsize
+    tables = column * (k * sizes[-1] + (start * sizes[start - 1] if start < k else 0))
+    for below, size in zip(sizes[start - 1 :], sizes[start:]):
+        tables += size * (_index(below).itemsize + column)
+    return (m * n + 3 * max(_MLE_BLOCK, sizes[-1]) + 2 * sizes[-1]) * 8 + tables + 2**16
 
 
 @functools.lru_cache(maxsize=1)
-def _supports(n: int, k: int) -> np.ndarray:
-    """All C(n, k) supports of range(n) in lexicographic order, one per row.
+def _plan(n: int, k: int) -> tuple:
+    """How :func:`mle_prefix_decode` builds the sums of all C(n, k) supports.
+
+    Returns (first, chain, supports, width): the subsets of the start
+    level (:func:`_levels`), one a row, whose columns are gathered and
+    added in index order; for each level above it a (parent, last) pair,
+    so that a subset's sum is its parent's in the level below plus its
+    last column; every support in lexicographic order, one a row; and the
+    widest two adjacent levels, held at once.  In lexicographic order a
+    prefix's children are contiguous, their last elements running from
+    the prefix's last + 1 to the highest that leaves room for the rest,
+    so each level follows from the one below by ``np.repeat``.
 
     Read-only, and kept for the last (n, k) asked, so the trials of a
-    sweep enumerate their candidates once.  Indices take the smallest
-    unsigned type that holds them: one byte each up to n = 256.
+    sweep build it once.  Indices take the smallest unsigned type that
+    holds them: one byte a column up to n = 256.
     """
-    count = math.comb(n, k)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    table = np.fromiter(flat, dtype=np.min_scalar_type(n - 1), count=count * k).reshape(count, k)
-    table.flags.writeable = False
-    return table
+    sizes, start = _levels(n, k)
+    column = _index(n)
+    table = first = np.arange(sizes[0], dtype=column)[:, None]
+    chain = []
+    for level in range(2, k + 1):
+        top = n - k + level - 1  # the highest last element at this level
+        children = top - table[:, -1].astype(np.intp)
+        ends = np.cumsum(children)
+        parent = np.repeat(np.arange(len(table), dtype=_index(len(table))), children)
+        last = (np.arange(top + 1, top + 1 + ends[-1]) - np.repeat(ends, children)).astype(column)
+        table = np.column_stack((table[parent], last))
+        if level == start:
+            first = table
+        elif level > start:
+            chain.append((parent, last))
+    for array in [first, table] + [array for pair in chain for array in pair]:
+        array.flags.writeable = False
+    return first, tuple(chain), table, sizes[-1] + (sizes[-2] if start < k else 0)
 
 
 def mle_prefix_decode(
@@ -156,11 +210,14 @@ def mle_prefix_decode(
 
     One pass over the rows, a few at a time, with the squared residuals
     of all C(n, k) supports in lexicographic order across each row.  The
-    sums so far are added onto the first row of a piece, which is then
-    reduced row by row, so every sum is the running sum
-    ((s + r_lo) + r_lo+1) + ....  At each m the first minimum wins: equal
-    residuals keep the lexicographically smallest support.  Returns a
-    (len(ms), k) array.
+    fits are built level by level (:func:`_plan`): the l-subsets' column
+    sums are their (l-1)-prefixes' sums plus their last column, so each
+    support's fit is still ((a_i1 + a_i2) + ...) + a_ik, the same
+    additions in the same order as gathering its k columns.  The sums so
+    far are added onto the first row of a piece, which is then reduced
+    row by row, so every sum is the running sum ((s + r_lo) + r_lo+1) +
+    ....  At each m the first minimum wins: equal residuals keep the
+    lexicographically smallest support.  Returns a (len(ms), k) array.
     """
     if y.model.binary:
         raise ValueError("maximum-likelihood decoding is implemented for the linear channel only")
@@ -175,22 +232,34 @@ def mle_prefix_decode(
             f"{max_candidates}; shrink the instance or raise max_candidates"
         )
     marks = _check_prefixes(ms, A.m).tolist()
-    supports = _supports(A.n, k)
-    step = max(1, _MLE_BLOCK // len(supports))  # rows held at once, every candidate a column
+    first, chain, supports, width = _plan(A.n, k)
+    step = max(1, _MLE_BLOCK // width)  # rows held at once
+    pieces = sorted(set(marks).union(range(step, marks[-1], step)))
+    rows = max(hi - lo for lo, hi in zip([0] + pieces, pieces))
+    room = np.empty((3, rows * len(supports)))  # two levels and a column, reused by every piece
+
+    def gather(source, index, into):
+        out = room[into, : len(source) * len(index)].reshape(len(source), len(index))
+        # "clip" fills out in place, where "raise" would buffer; no index is out of range
+        return source.take(index, 1, out, "clip")
+
     best = np.empty((len(marks), k), dtype=np.int64)
     sums = np.zeros(len(supports))  # each candidate's squared residuals so far
     lo = j = 0
-    for hi in sorted(set(marks).union(range(step, marks[-1], step))):
+    for hi in pieces:
         a = A.entries[lo:hi]
-        fit = np.take(a, supports[:, 0], axis=1)  # C order; a[:, idx] would be F order
-        for p in range(1, k):
-            fit += np.take(a, supports[:, p], axis=1)
+        fit = gather(a, first[:, 0], 0)  # C order; a[:, idx] would be F order
+        for p in range(1, first.shape[1]):
+            fit += gather(a, first[:, p], 2)
+        for level, (parent, last) in enumerate(chain, 1):
+            fit = gather(fit, parent, level % 2)
+            fit += gather(a, last, 2)
         np.subtract(y.values[lo:hi, None], fit, out=fit)  # residuals
         fit *= fit
         fit[0] += sums  # sums + r_lo, bit for bit: float addition commutes
         # rows in order; a lone column would be summed pairwise, but then
         # the one candidate wins whatever its sum
-        sums = np.add.reduce(fit, axis=0)
+        np.add.reduce(fit, axis=0, out=sums)
         if hi == marks[j]:
             best[j] = supports[sums.argmin()]  # the first minimum: lexicographically smallest
             j += 1

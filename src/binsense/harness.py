@@ -356,8 +356,10 @@ def _block_counts(
 # _POOL_PROBE a probe; below that the call runs in the calling process.
 # Measured with 1 and 2 workers on a 2-vCPU host (see CHANGES.md): top-k
 # sweeps broke even at about 1.3 Mi normals, searches of 13 probes at
-# about 6 Mi, and MLE sweeps (n=20, k=3) at 3.5-5.2 Mi candidate rows,
-# so a candidate row counts as a third of a normal.
+# about 6 Mi, and MLE sweeps (n=20, k=3, marks 10/20/40) at 3.5-5.2 Mi
+# candidate rows, both before and after their fits shared prefix sums
+# (after: in-process won at 2.6 Mi, two workers from 7.0 Mi, in three
+# runs), so a candidate row counts as a third of a normal.
 _POOL_START = 0.9 * 2**20
 _POOL_PROBE = 0.4 * 2**20
 _MLE_ROW_COST = 1 / 3
@@ -404,12 +406,14 @@ def _held_bytes(m: int, n: int) -> int:
 def _check_memory(config: TrialConfig) -> None:
     """Refuse a trial whose arrays would not fit in this machine's memory.
 
-    An MLE trial holds its whole m x n matrix; a top-k or quantize trial
-    holds its sufficient statistics and O(log m) skeleton nodes.
+    An MLE trial holds its whole m x n matrix and the sums and tables of
+    its C(n, k) supports; a top-k or quantize trial holds its sufficient
+    statistics and O(log m) skeleton nodes.
     """
     m, n = config.m, config.n
     if config.decoder == "mle":
-        need, what = _mle_footprint(m, n), f"a {m} x {n} sensing matrix"
+        need = _mle_footprint(m, n, config.k, config.mle_budget)
+        what = f"an MLE trial on a {m} x {n} sensing matrix"
     else:
         need, what = _walk_footprint(m, n), f"a top-k trial of {n} columns at m={m}"
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -510,7 +514,8 @@ class SweepResult:
 
     def to_csv(self) -> str:
         cfg = self.config
-        noise = ",".join("" if v is None else f"{v:.6g}" for v in cfg.model.noise_fields().values())
+        fields = cfg.model.noise_fields().values()  # beta = inf reads "inf"
+        noise = ",".join("" if v is None else format(float(v), ".6g") for v in fields)
         lines = [
             "model,n,k,m,sigma2,beta,decoder,trials,successes,"
             "success_rate,ci_low,ci_high,seed"

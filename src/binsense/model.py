@@ -53,8 +53,11 @@ class _Channel:
 
     def noise_fields(self) -> dict:
         """The noise echo of every report, ``{"sigma2": ..., "beta": ...}``,
-        with None for the field that does not apply."""
-        return {"sigma2": None, "beta": None, self.noise_name: self.noise}
+        with None for the field that does not apply.  An infinite beta is
+        the string "inf", as on the command line and in the CSV: JSON has
+        no infinity."""
+        noise = self.noise if math.isfinite(self.noise) else "inf"
+        return {"sigma2": None, "beta": None, self.noise_name: noise}
 
     def inverse_link(self, t):
         """Conditional mean of the output given the clean projection t = <a, x>.

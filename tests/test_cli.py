@@ -214,6 +214,23 @@ class TestExitCodes:
             assert math.isfinite(huge[name]) and huge[name] == limit[name]
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            "bounds --model logistic --beta inf --n 1000 --k 10",
+            "m95 --model logistic --beta inf --n 32 --k 2 --m-lo 5 --m-hi 200 --trials-per-probe 8",
+        ],
+    )
+    def test_beta_inf_is_echoed_as_valid_json(self, capsys, command):
+        # RFC 8259 has no Infinity: the noiseless limit is echoed as "inf",
+        # its spelling on the command line and in the CSV
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(command.split()) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc.get("query", doc.get("config"))["beta"] == "inf"
+
+    @pytest.mark.parametrize(
         "command,message",
         [
             ("bounds --model linear --sigma2 1e17 --n 1000 --k 10", "at sigma2=1e+17: 1 + 10/sigma2"),
@@ -287,7 +304,7 @@ PINNED_OUTPUTS = [
     ("bounds --model onebit --sigma2 4 --n 1000 --k 10 --delta 0.05", 0,
      "6d6f4e3919c0fe37e0282e719a3d6384bbce088131f9a1003ec15471b0015715"),
     ("bounds --model logistic --beta inf --n 200 --k 4", 0,
-     "ad6778532b0856bfd5ebdbe2b699c452099930e7684431ec53873968c104d18d"),
+     "d10cae6e6c7afeb4074f2e9ef31ff7a5545748113456b617ba12f73ee361d209"),
     ("bounds --model logistic --beta 0.3 --n 1000 --k 10 --delta 0.05", 0,
      "668bc7e84bbfb0cf2e635995dacdf3525d59a126640be41786029221f1b3ccae"),
     ("sweep --model onebit --sigma2 1 --n 64 --k 3 --m-grid 20:80:20 --trials 20 --seed 3", 0,

@@ -273,7 +273,7 @@ class TestPrefixDecoding:
     def test_scores_do_not_depend_on_the_block_size(self, monkeypatch, candidates):
         # the MLE's scores are its residual sums, added here one row at a time
         # for every support; holding 200, 600 or 12800 residuals at once (1, 2
-        # or 58 rows of the 220 supports) picks the same minima
+        # or 46 rows of the 55 pairs and 220 supports) picks the same minima
         _, A, y = self._instance(Linear(4.0), m=200)
         ms = [1, 2, 3, 62, 63, 64, 65, 66, 127, 128, 129, 130, 199, 200]
         supports = np.array(list(itertools.combinations(range(A.n), 3)))
@@ -343,7 +343,7 @@ class TestPrefixDecoding:
         # Integer entries make exact ties common; dyadic ones (a first row
         # of 1 or 1 + 2**-52 over rows of 0 or +-2**-27) make the picks
         # depend on the order of the additions
-        k = data.draw(st.integers(1, min(4, n)))
+        k = data.draw(st.integers(1, n))  # plans that gather every column and plans that chain
         ms = sorted(data.draw(st.sets(st.integers(1, m), min_size=1, max_size=8)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         if kind == "gaussian":
@@ -381,10 +381,73 @@ class TestPrefixDecoding:
         assert np.array_equal(mle_prefix_decode(A, y, 3, ms), whole)
 
     def test_support_table_is_lexicographic_read_only_and_kept(self):
-        table = decode._supports(7, 3)
-        assert table.tolist() == [list(c) for c in itertools.combinations(range(7), 3)]
-        assert not table.flags.writeable
-        assert decode._supports(7, 3) is table
+        # the start level's subsets, extended by each level's (parent, last)
+        # pairs, are every support in lexicographic order
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                first, chain, supports, _ = decode._plan(n, k)
+                assert supports.tolist() == [list(c) for c in itertools.combinations(range(n), k)]
+                subsets = first
+                for parent, last in chain:
+                    assert np.array_equal(subsets[parent, -1] < last, np.ones(len(last), bool))
+                    subsets = np.column_stack((subsets[parent], last))
+                assert np.array_equal(subsets, supports)
+                arrays = [first, supports] + [array for pair in chain for array in pair]
+                assert not any(array.flags.writeable for array in arrays)
+        plan = decode._plan(7, 3)
+        assert decode._plan(7, 3) is plan
+
+    def test_plans_gather_no_more_than_every_column(self):
+        # the start level is gathered column by column and each level above
+        # takes two gathers a subset: never more than the k a support of
+        # gathering every column, which is the plan when k = 1 or k = n
+        for n in range(1, 25):
+            for k in range(1, n + 1):
+                sizes, start = decode._levels(n, k)
+                assert sizes[-1] == math.comb(n, k)
+                gathered = start * sizes[start - 1] + 2 * sum(sizes[start:])
+                assert gathered <= k * math.comb(n, k)
+                assert start == k or gathered < k * math.comb(n, k)
+        assert decode._levels(20, 3) == ([18, 171, 1140], 2)  # the mle-oracle shape
+        assert decode._levels(64, 2)[1] == 2
+        assert decode._levels(9, 9)[1] == 9 and decode._levels(9, 1)[1] == 1
+        for n, k in [(9, 4), (12, 3), (16, 8)]:
+            first, chain, supports, _ = decode._plan(n, k)
+            sizes, start = decode._levels(n, k)
+            assert first.shape == (sizes[start - 1], start)
+            assert [len(last) for _, last in chain] == sizes[start:]
+
+    def test_mle_sums_add_a_supports_columns_in_index_order(self):
+        # one row, y = 1 + 2**-52.  Over columns 1, 2, 3 = 1, 2**-53, 2**-53
+        # the sum ((1 + 2**-53) + 2**-53) rounds to 1, so support {1, 2, 3}
+        # misses y by 2**-52, as do {0, 1, 2} and {0, 1, 3} with column 0 =
+        # 2**-51, and the tie goes to {0, 1, 2}.  Summed from the other end,
+        # 1 + (2**-53 + 2**-53) is y exactly and {1, 2, 3} would win.  The
+        # columns of 3 keep every other support far off; at n = 8 and k = 3
+        # the plan starts at the pairs, so the last column comes from the chain
+        A = np.array([[2.0**-51, 1.0, 2.0**-53, 2.0**-53, 3.0, 3.0, 3.0, 3.0]])
+        y = 1.0 + 2.0**-52
+        assert (1.0 + 2.0**-53) + 2.0**-53 == 1.0 and 1.0 + (2.0**-53 + 2.0**-53) == y
+        assert (2.0**-51 + 1.0) + 2.0**-53 == 1.0 + 2.0**-51
+        assert decode._levels(8, 3)[1] == 2
+        got = mle_prefix_decode(SensingMatrix(A), _linear([y]), 3, [1])
+        assert got.tolist() == [[0, 1, 2]]
+        # the same columns as the lowest three of a direct gather (k = 3 of n = 4)
+        assert decode._levels(4, 3)[1] == 3
+        assert mle_prefix_decode(SensingMatrix(A[:, :4]), _linear([y]), 3, [1]).tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_mle_leaves_its_inputs_alone(self, n):
+        # the fits are gathered copies, so the residuals written over them
+        # never reach the matrix or the outputs, whatever the plan
+        rng = np.random.default_rng(n)
+        A = SensingMatrix(rng.standard_normal((12, n)))
+        y = _linear(rng.standard_normal(12))
+        entries, values = A.entries.copy(), y.values.copy()
+        for k in range(1, n + 1):
+            mle_prefix_decode(A, y, k, [1, 5, 12])
+            mle_decode_linear(A, y, k)
+            assert np.array_equal(A.entries, entries) and np.array_equal(y.values, values)
 
     def test_mle_tie_across_blocks_is_lexicographic(self, monkeypatch):
         # columns 0 and 1 are equal, so supports {0} and {1} tie exactly

@@ -679,6 +679,36 @@ class TestStreamedTrials:
         assert len(draws) == 2
         assert peak <= need
 
+    def test_mle_refusal_counts_the_supports(self, monkeypatch):
+        # C(20, 7) = 77,520 supports, more than _MLE_BLOCK residuals: an MLE
+        # trial holds its room for a piece, the running sums and the plan's
+        # tables beside its small matrix, and is refused exactly when all of
+        # that needs more than the machine has
+        _no_pool(monkeypatch)
+        config = TrialConfig(Linear(1.0), 20, 7, 6, decoder="mle", master_seed=69)
+        assert math.comb(20, 7) > decode._MLE_BLOCK
+        need = harness._mle_footprint(6, 20, 7, config.mle_budget)
+        assert need > 5 * 8 * math.comb(20, 7)
+        memory = {"SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: memory[name])
+        memory["SC_PHYS_PAGES"] = need - 1
+        draws = _counting_draws(monkeypatch)
+        with pytest.raises(ValueError, match="MLE trial on a 6 x 20 sensing matrix needs"):
+            sweep(config, [3, 6], 2)
+        assert draws == []
+        memory["SC_PHYS_PAGES"] = need
+        decode._plan.cache_clear()  # the plan's build counts too
+        tracemalloc.start()
+        try:
+            sweep(config, [3, 6], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == 2
+        assert peak <= need
+        # beyond its budget a trial holds its matrix alone: the supports are refused
+        assert harness._mle_footprint(6, 20, 7, math.comb(20, 7) - 1) == 6 * 20 * 8
+
     def test_a_kept_block_holds_its_held_bytes(self):
         # a search keeps blocks while their _held_bytes fit; between reads a
         # kept block holds no more than that, and sets up within its footprint
