@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .bounds import BoundQuery, bound_report, curve_to_csv, mle_bound_curve
-from .decode import BudgetExceededError
+from .decode import MLE_BUDGET, BudgetExceededError
 from .harness import (
     DECODERS,
     TrialConfig,
@@ -69,7 +69,7 @@ def _add_trial_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--decoder", choices=DECODERS, default="topk")
     sub.add_argument("--seed", type=_nonneg_int, default=0)
     sub.add_argument("--workers", type=_positive_int, default=1)
-    sub.add_argument("--mle-budget", type=_positive_int, default=1_000_000)
+    sub.add_argument("--mle-budget", type=_positive_int, default=MLE_BUDGET)
     sub.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
 

@@ -12,9 +12,9 @@ The score or residual of the first m rows is thus a function of those
 rows alone, so one pass over a tall matrix yields the exact MLE of every
 row prefix (:func:`mle_prefix_decode`), equal bit for bit to decoding
 the prefix on its own.  The MLE oracle enumerates its candidates in
-lexicographic order and builds their column sums level by level from a
-cached plan: an l-subset's sum is its (l-1)-prefix's plus its last
-column, the same additions in the same order as summing its columns.
+lexicographic order and chains their column sums up from the single
+columns: an l-subset's sum is its (l-1)-prefix's plus its last column,
+the same additions in the same order as summing its columns.
 
 The Monte Carlo harness judges top-k trials from the scores' sufficient
 statistics without drawing a matrix; the decoders here are the library
@@ -50,9 +50,21 @@ __all__ = [
 # hold at most 53 signal coordinates without rounding
 DECIMAL_MAX_N = 53
 
+# the supports exhaustive MLE enumerates at most, unless its caller says more
+MLE_BUDGET = 1_000_000
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when exhaustive MLE would enumerate more supports than allowed."""
+
+
+def _check_budget(n: int, k: int, max_candidates: int) -> None:
+    """Refuse an MLE whose C(n, k) supports exceed ``max_candidates``."""
+    if math.comb(n, k) > max_candidates:
+        raise BudgetExceededError(
+            f"C({n}, {k}) = {math.comb(n, k)} supports exceeds the budget of "
+            f"{max_candidates}; shrink the instance or raise max_candidates"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,19 +136,10 @@ def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> D
 _MLE_BLOCK = 1 << 16
 
 
-def _levels(n: int, k: int) -> tuple:
-    """Sizes of the MLE oracle's levels 1..k, and the level it starts from.
-
-    Level l holds the C(n - k + l, l) l-subsets of range(n) that begin
-    some k-subset.  The start level j is gathered column by column, j
-    gathers a subset, and each level above it costs two: its parent's sum
-    in the level below and its last column.  j minimises the elements
-    gathered, and a tie keeps the higher j (fewer levels); j = k gathers
-    every support's k columns directly.
-    """
-    sizes = [math.comb(n - k + l, l) for l in range(1, k + 1)]
-    start = min(range(k, 0, -1), key=lambda j: j * sizes[j - 1] + 2 * sum(sizes[j:]))
-    return sizes, start
+def _levels(n: int, k: int) -> list:
+    """Sizes of the MLE oracle's levels 1..k: level l holds the
+    C(n - k + l, l) l-subsets of range(n) that begin some k-subset."""
+    return [math.comb(n - k + l, l) for l in range(1, k + 1)]
 
 
 def _index(count: int) -> np.dtype:
@@ -144,19 +147,16 @@ def _index(count: int) -> np.dtype:
     return np.min_scalar_type(max(count - 1, 0))
 
 
-def _mle_footprint(m: int, n: int, k: int, max_candidates: int) -> int:
+def _mle_footprint(m: int, n: int, k: int) -> int:
     """Bytes :func:`mle_prefix_decode` holds for an m x n matrix and k: the
     matrix; its room for a piece, two levels and a gathered column, each
     at most ``_MLE_BLOCK`` residuals or one row of supports; the running
     sums and an index numpy widens to gather with; :func:`_plan`'s tables;
-    and 64 KiB for the trial's signal, outputs and bookkeeping.  Beyond
-    the budget it holds the matrix alone, as the supports are refused."""
-    if math.comb(n, k) > max_candidates:
-        return m * n * 8
-    sizes, start = _levels(n, k)
+    and 64 KiB for the trial's signal, outputs and bookkeeping."""
+    sizes = _levels(n, k)
     column = _index(n).itemsize
-    tables = column * (k * sizes[-1] + (start * sizes[start - 1] if start < k else 0))
-    for below, size in zip(sizes[start - 1 :], sizes[start:]):
+    tables = column * k * sizes[-1]
+    for below, size in zip(sizes, sizes[1:]):
         tables += size * (_index(below).itemsize + column)
     return (m * n + 3 * max(_MLE_BLOCK, sizes[-1]) + 2 * sizes[-1]) * 8 + tables + 2**16
 
@@ -165,23 +165,23 @@ def _mle_footprint(m: int, n: int, k: int, max_candidates: int) -> int:
 def _plan(n: int, k: int) -> tuple:
     """How :func:`mle_prefix_decode` builds the sums of all C(n, k) supports.
 
-    Returns (first, chain, supports, width): the subsets of the start
-    level (:func:`_levels`), one a row, whose columns are gathered and
-    added in index order; for each level above it a (parent, last) pair,
-    so that a subset's sum is its parent's in the level below plus its
-    last column; every support in lexicographic order, one a row; and the
-    widest two adjacent levels, held at once.  In lexicographic order a
-    prefix's children are contiguous, their last elements running from
-    the prefix's last + 1 to the highest that leaves room for the rest,
-    so each level follows from the one below by ``np.repeat``.
+    Returns (chain, supports, width): for each level l = 2..k a (parent,
+    last) pair, so that a subset's sum is its parent's in level l - 1
+    plus its last column, where a level-1 subset's index is its column;
+    every support in lexicographic order, one a row; and the widest two
+    adjacent levels held at once (level 1 is the matrix itself).  In
+    lexicographic order a prefix's children are contiguous, their last
+    elements running from the prefix's last + 1 to the highest that
+    leaves room for the rest, so each level follows from the one below
+    by ``np.repeat``.
 
     Read-only, and kept for the last (n, k) asked, so the trials of a
     sweep build it once.  Indices take the smallest unsigned type that
     holds them: one byte a column up to n = 256.
     """
-    sizes, start = _levels(n, k)
+    sizes = _levels(n, k)
     column = _index(n)
-    table = first = np.arange(sizes[0], dtype=column)[:, None]
+    table = np.arange(sizes[0], dtype=column)[:, None]
     chain = []
     for level in range(2, k + 1):
         top = n - k + level - 1  # the highest last element at this level
@@ -190,13 +190,10 @@ def _plan(n: int, k: int) -> tuple:
         parent = np.repeat(np.arange(len(table), dtype=_index(len(table))), children)
         last = (np.arange(top + 1, top + 1 + ends[-1]) - np.repeat(ends, children)).astype(column)
         table = np.column_stack((table[parent], last))
-        if level == start:
-            first = table
-        elif level > start:
-            chain.append((parent, last))
-    for array in [first, table] + [array for pair in chain for array in pair]:
+        chain.append((parent, last))
+    for array in [table] + [array for pair in chain for array in pair]:
         array.flags.writeable = False
-    return first, tuple(chain), table, sizes[-1] + (sizes[-2] if start < k else 0)
+    return tuple(chain), table, sizes[-1] + (sizes[-2] if k > 2 else 0)
 
 
 def mle_prefix_decode(
@@ -204,17 +201,16 @@ def mle_prefix_decode(
     y: MeasurementVector,
     k: int,
     ms,
-    max_candidates: int = 1_000_000,
+    max_candidates: int = MLE_BUDGET,
 ) -> np.ndarray:
     """Exhaustive MLE support of the first m rows, for each m in the ascending ``ms``.
 
     One pass over the rows, a few at a time, with the squared residuals
     of all C(n, k) supports in lexicographic order across each row.  The
-    fits are built level by level (:func:`_plan`): the l-subsets' column
-    sums are their (l-1)-prefixes' sums plus their last column, so each
-    support's fit is still ((a_i1 + a_i2) + ...) + a_ik, the same
-    additions in the same order as gathering its k columns.  The sums so
-    far are added onto the first row of a piece, which is then reduced
+    fits are chained up from the single columns (:func:`_plan`): an
+    l-subset's sum is its (l-1)-prefix's plus its last column, so each
+    support's fit is ((a_i1 + a_i2) + ...) + a_ik, in index order.  The
+    sums so far are added onto the first row of a piece, which is reduced
     row by row, so every sum is the running sum ((s + r_lo) + r_lo+1) +
     ....  At each m the first minimum wins: equal residuals keep the
     lexicographically smallest support.  Returns a (len(ms), k) array.
@@ -225,14 +221,9 @@ def mle_prefix_decode(
         raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
     if not 1 <= k <= A.n:
         raise ValueError(f"need 1 <= k <= n={A.n}, got k={k}")
-    n_candidates = math.comb(A.n, k)
-    if n_candidates > max_candidates:
-        raise BudgetExceededError(
-            f"C({A.n}, {k}) = {n_candidates} supports exceeds the budget of "
-            f"{max_candidates}; shrink the instance or raise max_candidates"
-        )
+    _check_budget(A.n, k, max_candidates)
     marks = _check_prefixes(ms, A.m).tolist()
-    first, chain, supports, width = _plan(A.n, k)
+    chain, supports, width = _plan(A.n, k)
     step = max(1, _MLE_BLOCK // width)  # rows held at once
     pieces = sorted(set(marks).union(range(step, marks[-1], step)))
     rows = max(hi - lo for lo, hi in zip([0] + pieces, pieces))
@@ -248,10 +239,9 @@ def mle_prefix_decode(
     lo = j = 0
     for hi in pieces:
         a = A.entries[lo:hi]
-        fit = gather(a, first[:, 0], 0)  # C order; a[:, idx] would be F order
-        for p in range(1, first.shape[1]):
-            fit += gather(a, first[:, p], 2)
-        for level, (parent, last) in enumerate(chain, 1):
+        # a level-1 sum is its column; k = 1 copies its columns for the residuals
+        fit = a if chain else gather(a, supports[:, 0], 0)  # C order; a[:, idx] would be F order
+        for level, (parent, last) in enumerate(chain):
             fit = gather(fit, parent, level % 2)
             fit += gather(a, last, 2)
         np.subtract(y.values[lo:hi, None], fit, out=fit)  # residuals
@@ -271,7 +261,7 @@ def mle_decode_linear(
     A: SensingMatrix,
     y: MeasurementVector,
     k: int,
-    max_candidates: int = 1_000_000,
+    max_candidates: int = MLE_BUDGET,
 ) -> DecodeResult:
     """Exhaustive maximum-likelihood decoding for the linear channel.
 

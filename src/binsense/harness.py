@@ -51,6 +51,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decode import (
+    MLE_BUDGET,
+    _check_budget,
     _check_prefixes,
     _mle_footprint,
     _top_k_indices,
@@ -118,7 +120,7 @@ class TrialConfig:
     m: int
     decoder: str = "topk"
     master_seed: int = 0
-    mle_budget: int = 1_000_000
+    mle_budget: int = MLE_BUDGET
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 1):
@@ -407,12 +409,13 @@ def _check_memory(config: TrialConfig) -> None:
     """Refuse a trial whose arrays would not fit in this machine's memory.
 
     An MLE trial holds its whole m x n matrix and the sums and tables of
-    its C(n, k) supports; a top-k or quantize trial holds its sufficient
-    statistics and O(log m) skeleton nodes.
+    its C(n, k) supports, if within budget; a top-k or quantize trial
+    holds its sufficient statistics and O(log m) skeleton nodes.
     """
     m, n = config.m, config.n
     if config.decoder == "mle":
-        need = _mle_footprint(m, n, config.k, config.mle_budget)
+        _check_budget(n, config.k, config.mle_budget)
+        need = _mle_footprint(m, n, config.k)
         what = f"an MLE trial on a {m} x {n} sensing matrix"
     else:
         need, what = _walk_footprint(m, n), f"a top-k trial of {n} columns at m={m}"

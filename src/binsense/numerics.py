@@ -58,10 +58,10 @@ TRIAL_STREAM_SLOTS = 8
 class RngStream:
     """Reproducible random stream keyed by (master_seed, stream_id).
 
-    Both fields are unsigned 64-bit integers.  ``generator()`` returns a
-    fresh numpy Generator each call, so a stream always replays from the
-    start; consumers that need several independent sources derive them
-    with distinct ids instead of sharing generator state.
+    Both fields are unsigned 64-bit integers.  Every draw of the library
+    reads a stream through :func:`_uniforms`, never ``generator()``, which
+    gives callers and tests a fresh numpy Generator of the same uniforms.
+    Independent sources take distinct ids.
     """
 
     master_seed: int

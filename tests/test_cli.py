@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from binsense import harness
 from binsense.bounds import BoundQuery, bound_report, curve_to_csv, mle_bound_curve
 from binsense.cli import main
 from binsense.harness import TrialConfig, sweep
@@ -169,6 +170,18 @@ class TestExitCodes:
              "--sigma2", "0", "--decoder", "mle", "--trials", "1"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("m", ["50", "10000000"])
+    def test_budget_is_refused_before_any_draw_or_memory_check(self, m, monkeypatch):
+        # C(1024, 4) supports exceed the default budget, at any m: the query
+        # exits 3 before a matrix is drawn, even where it would not fit in memory
+        drawn = []
+        monkeypatch.setattr(harness, "gen_sensing_matrix", lambda *args: drawn.append(args))
+        code = main(
+            ["simulate", "--model", "linear", "--sigma2", "1", "--n", "1024", "--k", "4",
+             "--m", m, "--decoder", "mle", "--trials", "1"]
+        )
+        assert code == 3 and drawn == []
 
     def test_matrix_too_large_refused(self, capsys):
         # a 10^6 x 10^9 matrix is refused before anything is drawn

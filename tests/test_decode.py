@@ -381,41 +381,37 @@ class TestPrefixDecoding:
         assert np.array_equal(mle_prefix_decode(A, y, 3, ms), whole)
 
     def test_support_table_is_lexicographic_read_only_and_kept(self):
-        # the start level's subsets, extended by each level's (parent, last)
-        # pairs, are every support in lexicographic order
+        # the single columns that begin a support, extended by each level's
+        # (parent, last) pairs, are every support in lexicographic order
         for n in range(1, 11):
             for k in range(1, n + 1):
-                first, chain, supports, _ = decode._plan(n, k)
+                chain, supports, _ = decode._plan(n, k)
                 assert supports.tolist() == [list(c) for c in itertools.combinations(range(n), k)]
-                subsets = first
+                subsets = np.arange(n - k + 1)[:, None]
                 for parent, last in chain:
                     assert np.array_equal(subsets[parent, -1] < last, np.ones(len(last), bool))
                     subsets = np.column_stack((subsets[parent], last))
                 assert np.array_equal(subsets, supports)
-                arrays = [first, supports] + [array for pair in chain for array in pair]
+                arrays = [supports] + [array for pair in chain for array in pair]
                 assert not any(array.flags.writeable for array in arrays)
         plan = decode._plan(7, 3)
         assert decode._plan(7, 3) is plan
 
     def test_plans_gather_no_more_than_every_column(self):
-        # the start level is gathered column by column and each level above
-        # takes two gathers a subset: never more than the k a support of
-        # gathering every column, which is the plan when k = 1 or k = n
+        # the chain gathers two elements a subset of levels 2..k, as many a
+        # row as the best start level j of gathering level j column by
+        # column and chaining above it, whenever n - k >= 3
         for n in range(1, 25):
-            for k in range(1, n + 1):
-                sizes, start = decode._levels(n, k)
-                assert sizes[-1] == math.comb(n, k)
-                gathered = start * sizes[start - 1] + 2 * sum(sizes[start:])
-                assert gathered <= k * math.comb(n, k)
-                assert start == k or gathered < k * math.comb(n, k)
-        assert decode._levels(20, 3) == ([18, 171, 1140], 2)  # the mle-oracle shape
-        assert decode._levels(64, 2)[1] == 2
-        assert decode._levels(9, 9)[1] == 9 and decode._levels(9, 1)[1] == 1
-        for n, k in [(9, 4), (12, 3), (16, 8)]:
-            first, chain, supports, _ = decode._plan(n, k)
-            sizes, start = decode._levels(n, k)
-            assert first.shape == (sizes[start - 1], start)
-            assert [len(last) for _, last in chain] == sizes[start:]
+            for k in range(2, n - 2):
+                sizes = [math.comb(n - k + l, l) for l in range(1, k + 1)]
+                assert decode._levels(n, k) == sizes and sizes[-1] == math.comb(n, k)
+                chained = 2 * sum(sizes[1:])
+                starts = [j * sizes[j - 1] + 2 * sum(sizes[j:]) for j in range(1, k + 1)]
+                assert chained == min(starts)
+                assert chained <= k * math.comb(n, k)
+                chain, _, _ = decode._plan(n, k)
+                assert [len(parent) for parent, _ in chain] == sizes[1:]
+        assert decode._levels(20, 3) == [18, 171, 1140]  # the mle-oracle shape
 
     def test_mle_sums_add_a_supports_columns_in_index_order(self):
         # one row, y = 1 + 2**-52.  Over columns 1, 2, 3 = 1, 2**-53, 2**-53
@@ -423,17 +419,14 @@ class TestPrefixDecoding:
         # misses y by 2**-52, as do {0, 1, 2} and {0, 1, 3} with column 0 =
         # 2**-51, and the tie goes to {0, 1, 2}.  Summed from the other end,
         # 1 + (2**-53 + 2**-53) is y exactly and {1, 2, 3} would win.  The
-        # columns of 3 keep every other support far off; at n = 8 and k = 3
-        # the plan starts at the pairs, so the last column comes from the chain
+        # columns of 3 keep every other support far off
         A = np.array([[2.0**-51, 1.0, 2.0**-53, 2.0**-53, 3.0, 3.0, 3.0, 3.0]])
         y = 1.0 + 2.0**-52
         assert (1.0 + 2.0**-53) + 2.0**-53 == 1.0 and 1.0 + (2.0**-53 + 2.0**-53) == y
         assert (2.0**-51 + 1.0) + 2.0**-53 == 1.0 + 2.0**-51
-        assert decode._levels(8, 3)[1] == 2
         got = mle_prefix_decode(SensingMatrix(A), _linear([y]), 3, [1])
         assert got.tolist() == [[0, 1, 2]]
-        # the same columns as the lowest three of a direct gather (k = 3 of n = 4)
-        assert decode._levels(4, 3)[1] == 3
+        # the same columns as the lowest three of k = 3 of n = 4
         assert mle_prefix_decode(SensingMatrix(A[:, :4]), _linear([y]), 3, [1]).tolist() == [[0, 1, 2]]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])

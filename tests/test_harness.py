@@ -637,8 +637,8 @@ class TestStreamedTrials:
 
     def test_trial_fits_where_its_matrix_would_not(self, monkeypatch):
         # with 8 MiB of memory a 2000 x 1024 matrix (16 MiB) does not fit, but a
-        # top-k trial never draws it: the sweep runs, and an MLE trial, which
-        # does hold its matrix, is refused
+        # top-k trial never draws it: the sweep runs, and an MLE trial of k = 1,
+        # within its budget but holding its matrix, is refused
         _no_pool(monkeypatch)
         real, fake = harness.os.sysconf, {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}
         monkeypatch.setattr(harness.os, "sysconf", lambda name: fake.get(name) or real(name))
@@ -653,7 +653,7 @@ class TestStreamedTrials:
         assert [row.trials for row in result.rows] == [2, 2]
         assert peak < 4 * 2**20
         with pytest.raises(ValueError, match="memory"):
-            sweep(replace(config, model=Linear(1.0), decoder="mle"), [2000], 2)
+            sweep(replace(config, model=Linear(1.0), k=1, decoder="mle"), [2000], 2)
 
     def test_memory_refusal_follows_the_trials_footprint(self, monkeypatch):
         # a top-k trial is refused exactly when its statistics and skeleton
@@ -687,7 +687,7 @@ class TestStreamedTrials:
         _no_pool(monkeypatch)
         config = TrialConfig(Linear(1.0), 20, 7, 6, decoder="mle", master_seed=69)
         assert math.comb(20, 7) > decode._MLE_BLOCK
-        need = harness._mle_footprint(6, 20, 7, config.mle_budget)
+        need = harness._mle_footprint(6, 20, 7)
         assert need > 5 * 8 * math.comb(20, 7)
         memory = {"SC_PAGE_SIZE": 1}
         monkeypatch.setattr(harness.os, "sysconf", lambda name: memory[name])
@@ -706,8 +706,6 @@ class TestStreamedTrials:
             tracemalloc.stop()
         assert len(draws) == 2
         assert peak <= need
-        # beyond its budget a trial holds its matrix alone: the supports are refused
-        assert harness._mle_footprint(6, 20, 7, math.comb(20, 7) - 1) == 6 * 20 * 8
 
     def test_a_kept_block_holds_its_held_bytes(self):
         # a search keeps blocks while their _held_bytes fit; between reads a
@@ -776,6 +774,10 @@ LAW_CASES = {
 }
 
 
+def _sign(u):
+    return np.where(u >= 0.0, 1.0, -1.0)
+
+
 class TestExactLaw:
     def test_skeleton_is_a_brownian_motion_on_its_clock(self, monkeypatch):
         # the n columns are independent walks, so 20,000 columns sample the
@@ -808,27 +810,31 @@ class TestExactLaw:
             z = _two_proportion_z(row.successes, int(successes), trials)
             assert abs(z) <= 4.0, f"m={row.m}: {row.successes} vs {successes} of {trials}"
 
-    # each binary channel's output at k = 1 as the sign of a noisy t (>= 0 is +1)
+    # each channel's output y at k = 1 from t; a binary one is the sign of a
+    # noisy t (>= 0 is +1)
     K1_CHANNELS = {
-        "onebit-0": (OneBit(0.0), lambda t, rng: t),
-        "onebit-1": (OneBit(1.0), lambda t, rng: t + rng.standard_normal(t.shape)),
-        "logistic-2": (Logistic(2.0), lambda t, rng: expit(2.0 * t) - rng.random(t.shape)),
+        "linear-1": (Linear(1.0), lambda t, rng: t + rng.standard_normal(t.shape)),
+        "onebit-0": (OneBit(0.0), lambda t, rng: _sign(t)),
+        "onebit-1": (OneBit(1.0), lambda t, rng: _sign(t + rng.standard_normal(t.shape))),
+        "logistic-2": (Logistic(2.0), lambda t, rng: _sign(expit(2.0 * t) - rng.random(t.shape))),
     }
 
     @pytest.mark.parametrize("case", sorted(K1_CHANNELS))
     def test_k1_success_curve_matches_its_trial_free_formula(self, case):
-        # on a binary channel y_i^2 = 1, so the clock is v(m) = m; at k = 1 the
-        # support score is D = sum_{i<m} y_i t_i and the n - 1 others are
-        # i.i.d. N(0, m) given the outputs, so P(m) = E[Phi(D / sqrt(m))^(n - 1)].
-        # D is drawn here with numpy's own generator, none of binsense's
-        model, noisy = self.K1_CHANNELS[case]
+        # at k = 1 the support score is D = sum_{i<m} y_i t_i and the n - 1
+        # others are i.i.d. N(0, v) given the outputs, with the clock
+        # v(m) = sum_{i<m} y_i^2 (m on a binary channel), so
+        # P(m) = E[Phi(D / sqrt(v))^(n - 1)].  D and v are drawn here with
+        # numpy's own generator, none of binsense's
+        model, output = self.K1_CHANNELS[case]
         n, ms, trials, draws = 64, (10, 20, 40, 80), 4000, 40_000
         rng = np.random.default_rng(7600)
         t = rng.standard_normal((draws, ms[-1]))
-        drift = np.cumsum(np.where(noisy(t, rng) >= 0.0, t, -t), axis=1)
+        y = output(t, rng)
+        drift, clock = np.cumsum(y * t, axis=1), np.cumsum(y * y, axis=1)
         rows = sweep(TrialConfig(model, n, 1, ms[-1], master_seed=7700), ms, trials).rows
         for m, row in zip(ms, rows):
-            p = ndtr(drift[:, m - 1] / math.sqrt(m)) ** (n - 1)
+            p = ndtr(drift[:, m - 1] / np.sqrt(clock[:, m - 1])) ** (n - 1)
             se2 = p.var(ddof=1) / draws + p.mean() * (1.0 - p.mean()) / trials
             z = (row.success_rate - p.mean()) / math.sqrt(se2)
             assert abs(z) <= 4.0, f"m={m}: engine {row.success_rate} vs formula {p.mean():.4f}"
