@@ -63,7 +63,7 @@ def _check_budget(n: int, k: int, max_candidates: int) -> None:
     if math.comb(n, k) > max_candidates:
         raise BudgetExceededError(
             f"C({n}, {k}) = {math.comb(n, k)} supports exceeds the budget of "
-            f"{max_candidates}; shrink the instance or raise max_candidates"
+            f"{max_candidates}; shrink the instance or raise max_candidates (CLI: --mle-budget)"
         )
 
 

@@ -36,8 +36,7 @@ at that m alone gets.  A call runs in the calling process unless its
 trial work is large enough for a second worker to pay for its start;
 then each worker process counts a fixed contiguous block of trials for
 the whole call.  A threshold search counts only the m its bisection
-visits, and keeps each block of top-k trials set up between probes in
-the one process that counts it.
+visits, and its top-k trials, kept between probes, end with the call.
 """
 
 from __future__ import annotations
@@ -274,11 +273,6 @@ class _TopkBlock:
         return scores
 
 
-# Top-k trial blocks kept by a threshold search between its probes, in
-# each process that counts them (see _block_counts); None outside a search.
-# A pure cache: a trial reads the same scores however it was set up.
-_kept = None
-
 # bytes of top-k trials one process may set up at once, and may keep
 _KEPT_BYTES = 64 * 2**20
 
@@ -313,7 +307,7 @@ def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
 
 
 def _block_counts(
-    config: TrialConfig, ms: tuple, start: int, stop: int, keep: bool = False
+    config: TrialConfig, ms: tuple, start: int, stop: int, kept: dict | None = None
 ) -> list:
     """Successes at every m of the ascending ``ms`` (none above config.m)
     over trials [start, stop).
@@ -323,31 +317,27 @@ def _block_counts(
     by :func:`run_trial`.
     Top-k trials are set up and judged in blocks, as many at once as
     ``_KEPT_BYTES`` holds at their set-up peak (:func:`_walk_footprint`).
-    With ``keep``, blocks are set up for config.m and kept, while there is
-    room for what they hold (:func:`_held_bytes`), for the later calls of
-    the same search: a worker process ends with its pool, and
-    :func:`_counter` drops the blocks kept in its own process.
+    ``kept`` is the caller's dict for the calls of one search over exactly
+    [start, stop): a block is set up for config.m and kept there, by its
+    first trial, while it fits beside those kept (:func:`_held_bytes`);
+    with None, each call sets its blocks up afresh at ms[-1].
     """
-    global _kept
     counts = np.zeros(len(ms), dtype=np.int64)
     if config.decoder == "mle":
         judged = replace(config, m=ms[-1])
         for i in range(start, stop):
             counts += run_trial(judged, i, ms).successes
         return counts.tolist()
-    if keep and _kept is None:
-        _kept = {}
     chunk = max(1, _KEPT_BYTES // _walk_footprint(config.m, config.n))
     room = _KEPT_BYTES // _held_bytes(config.m, config.n)
     for a in range(start, stop, chunk):
         b = min(a + chunk, stop)
-        key = (config, a, b)
-        block = _kept.get(key) if keep else None
+        block = None if kept is None else kept.get(a)
         if block is None:
-            fits = keep and sum(len(kept.truth) for kept in _kept.values()) + b - a <= room
+            fits = kept is not None and sum(len(v.truth) for v in kept.values()) + b - a <= room
             block = _TopkBlock(config, a, b, config.m if fits else ms[-1])
             if fits:
-                _kept[key] = block
+                kept[a] = block
         for j, m in enumerate(ms):
             counts[j] += np.count_nonzero(_topk_recovers(block.scores(m), block.truth))
     return counts.tolist()
@@ -385,7 +375,7 @@ def _worker_count(workers: int, trials: int, work: float, probes: int) -> int:
     this process may run on."""
     if work < _POOL_START + probes * _POOL_PROBE:
         return 1
-    return max(1, min(workers, trials, len(os.sched_getaffinity(0))))
+    return min(workers, trials, len(os.sched_getaffinity(0)))
 
 
 def _walk_footprint(m: int, n: int) -> int:
@@ -427,6 +417,19 @@ def _check_memory(config: TrialConfig) -> None:
         )
 
 
+# (config, start, stop, kept) that a pool's one process counts; set there only, by _hold_block
+_pool_block = None
+
+
+def _hold_block(*block) -> None:
+    global _pool_block
+    _pool_block = block
+
+
+def _pool_block_counts(ms: tuple) -> list:
+    return _block_counts(_pool_block[0], ms, *_pool_block[1:])
+
+
 @contextmanager
 def _counter(config: TrialConfig, trials: int, workers: int, marks: int, probes: int = 1):
     """Yield ``counts(ms)``: successes at every m of the ascending ``ms``
@@ -437,35 +440,32 @@ def _counter(config: TrialConfig, trials: int, workers: int, marks: int, probes:
     process.  A larger one gives each of up to ``workers`` processes a
     fixed contiguous block of trials, for every ``counts``, and sums the
     blocks' counts, so they are identical for any worker count.  A call
-    of several probes keeps each process's top-k trials between them (see
-    :func:`_block_counts`).
+    of several probes keeps its top-k trials between them, in dicts that
+    end with the call (see :func:`_block_counts`).
     """
-    global _kept
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    for name, value in (("trials", trials), ("workers", workers)):
+        if not (isinstance(value, int) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     _check_memory(config)
-    keep = probes > 1
     workers = _worker_count(workers, trials, _work(config, trials, marks, probes), probes)
-    try:
-        if workers == 1:
-            yield lambda ms: _block_counts(config, ms, 0, trials, keep)
-            return
-        edges = [round(i * trials / workers) for i in range(workers + 1)]
-        blocks = list(zip(edges[:-1], edges[1:]))  # none empty: workers <= trials
-        with ExitStack() as stack:
-            # a single-process pool a block, so each kept trial lives in one process
-            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in blocks]
+    if workers == 1:
+        kept = {} if probes > 1 else None
+        yield lambda ms: _block_counts(config, ms, 0, trials, kept)
+        return
+    edges = [round(i * trials / workers) for i in range(workers + 1)]
+    blocks = [(config, a, b, {} if probes > 1 else None) for a, b in zip(edges[:-1], edges[1:])]
+    with ExitStack() as stack:
+        # a single-process pool a block (none empty: workers <= trials), with its kept trials
+        pools = [
+            stack.enter_context(ProcessPoolExecutor(1, initializer=_hold_block, initargs=block))
+            for block in blocks
+        ]
 
-            def counts(ms: tuple) -> list:
-                futures = [
-                    pool.submit(_block_counts, config, ms, a, b, keep)
-                    for pool, (a, b) in zip(pools, blocks)
-                ]
-                return [sum(column) for column in zip(*(f.result() for f in futures))]
+        def counts(ms: tuple) -> list:
+            futures = [pool.submit(_pool_block_counts, ms) for pool in pools]
+            return [sum(column) for column in zip(*(f.result() for f in futures))]
 
-            yield counts
-    finally:
-        _kept = None
+        yield counts
 
 
 def _success_counts(config: TrialConfig, ms: tuple, trials: int, workers: int) -> list:
@@ -585,9 +585,9 @@ def estimate_m95(
     raised.  Each probe counts the same trials at its m, in the same
     processes for the whole search, and only the m the bisection visits
     are ever counted; every verdict is a function of (trial, m) alone,
-    so the returned value is deterministic given the master seed.  The transition is steep (all-or-nothing behavior),
-    which is what makes bisection on a noisy but effectively monotone
-    curve reliable.
+    so the returned value is deterministic given the master seed.  The
+    transition is steep (all-or-nothing behavior), which is what makes
+    bisection on a noisy but effectively monotone curve reliable.
     """
     if not (isinstance(m_lo, int) and isinstance(m_hi, int) and 1 <= m_lo < m_hi):
         raise ValueError(f"need 1 <= m_lo < m_hi, got m_lo={m_lo!r}, m_hi={m_hi!r}")

@@ -164,12 +164,14 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_budget_exceeded_is_three(self):
+    def test_budget_exceeded_is_three(self, capsys):
         code = main(
             ["simulate", "--model", "linear", "--n", "40", "--k", "10", "--m", "5",
              "--sigma2", "0", "--decoder", "mle", "--trials", "1"]
         )
         assert code == 3
+        err = capsys.readouterr().err
+        assert "max_candidates" in err and "--mle-budget" in err
 
     @pytest.mark.parametrize("m", ["50", "10000000"])
     def test_budget_is_refused_before_any_draw_or_memory_check(self, m, monkeypatch):

@@ -2,12 +2,14 @@
 moment checks, and the Wilson interval."""
 
 import ast
+import gc
 import itertools
 import math
 import os
+import sys
 import time
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -109,15 +111,17 @@ class TestCountSuccesses:
         assert harness._worker_count(5000, 5000, math.inf, 1) == 3
         assert harness._worker_count(2, 5000, math.inf, 1) == 2
         assert harness._worker_count(5000, 2, math.inf, 1) == 2
-        assert harness._worker_count(0, 10, math.inf, 1) == 1
+        assert harness._worker_count(1, 10, math.inf, 1) == 1
 
     def test_pool_never_larger_than_cpus(self, monkeypatch):
-        # a stand-in pool runs the blocks inline, so no process is started
+        # a stand-in pool runs the blocks inline, so no process is started; it
+        # sets its block up before each task, as its one process would hold it
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                self.initializer, self.initargs = initializer, initargs
 
             def __enter__(self):
                 return self
@@ -126,23 +130,33 @@ class TestCountSuccesses:
                 return False
 
             def submit(self, fn, *args):
+                self.initializer(*self.initargs)
                 future = Future()
                 future.set_result(fn(*args))
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_pool_block", None)  # the stand-in sets it in this process
         _pool_for_any_work(monkeypatch)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
         config = TrialConfig(OneBit(1.0), 32, 2, 30, master_seed=5)
         assert count_successes(config, 9, workers=5000) == count_successes(config, 9)
         assert sizes == [1, 1]  # a single-process pool a block
+        search = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)
+        assert estimate_m95(search, 9, 10, 300, workers=2) == estimate_m95(search, 9, 10, 300)
 
 
 def _no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
+    def no_pool(max_workers, initializer, initargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+
+
+def _blocks_alive() -> int:
+    """Top-k trial blocks still alive in this process."""
+    gc.collect()
+    return sum(isinstance(o, harness._TopkBlock) for o in gc.get_objects())
 
 
 def _pool_for_any_work(monkeypatch):
@@ -456,7 +470,16 @@ class TestPrefixTrials:
         length = harness._skeleton_length(300)
         assert draws == [(_role(config, i, harness.ROLE_MATRIX), length) for i in range(9)]
         assert reads == [probe.m for probe in result.probes for _ in range(9)]
-        assert harness._kept is None  # the kept trials went with the search
+        assert _blocks_alive() == 0  # the kept trials went with the search
+        # on two real processes (forked, so the patches hold there) every trial
+        # is set up and read in the process that counts it, and ends with it
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", ProcessPoolExecutor)
+        _pool_for_any_work(monkeypatch)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        seen = len(draws), len(reads)
+        assert estimate_m95(config, 9, 10, 300, workers=2) == result
+        assert (len(draws), len(reads)) == seen
+        assert _blocks_alive() == 0
 
     def test_matrix_too_large_refused_before_any_trial(self, monkeypatch):
         rows = _counting_draws(monkeypatch)
@@ -478,20 +501,17 @@ class TestPrefixTrials:
     )
     def test_block_counts_add_up_over_any_split(self, data, decoder, trials, warm):
         # the counts of contiguous blocks, split anywhere, sum to the serial
-        # counts, whether the blocks set their trials up afresh or read kept ones
+        # counts, whether the blocks set their trials up at ms[-1] or, to be
+        # kept, at config.m
         config, grid = PREFIX_CASES[decoder]
         config = replace(config, m=grid[-1])
         marks = st.sets(st.integers(1, grid[-1]), min_size=1, max_size=5)
         ms = tuple(sorted(data.draw(marks)))
         cuts = sorted(data.draw(st.lists(st.integers(0, trials), max_size=4)))
         edges = [0, *cuts, trials]
-        try:
-            serial = harness._block_counts(config, ms, 0, trials, keep=warm)
-            parts = [
-                harness._block_counts(config, ms, a, b, keep=warm) for a, b in zip(edges, edges[1:])
-            ]
-        finally:
-            harness._kept = None
+        kept = lambda: {} if warm else None
+        serial = harness._block_counts(config, ms, 0, trials, kept())
+        parts = [harness._block_counts(config, ms, a, b, kept()) for a, b in zip(edges, edges[1:])]
         assert [sum(column) for column in zip(*parts)] == serial
 
 
@@ -584,7 +604,8 @@ class TestStreamedTrials:
         # successes counted over blocks of 1, 3 or all 6 trials, each judged in
         # chunks of them all, of 2 or of 1, set up afresh, kept, or kept while
         # there is room for just one trial, are the per-trial verdicts summed;
-        # later probes read what earlier ones kept
+        # later probes read what earlier ones kept, each part from its own
+        # dict, with its own room
         model, decoder = STREAMED_CASES[case]
         config = TrialConfig(model, 48, 3, 200, decoder, master_seed=66)
         ms = (1, 63, 64, 65, 127, 128, 129, 200)
@@ -598,16 +619,14 @@ class TestStreamedTrials:
         for block in (1, 3, 6):
             for keep, room in rooms:
                 monkeypatch.setattr(harness, "_KEPT_BYTES", room)
-                try:
-                    for probe in (ms, ms[2:5], ms[:1], ms):
-                        parts = [
-                            harness._block_counts(config, probe, a, a + block, keep)
-                            for a in range(0, 6, block)
-                        ]
-                        got = [sum(column) for column in zip(*parts)]
-                        assert got == [sum(v[ms.index(m)] for v in verdicts) for m in probe]
-                finally:
-                    harness._kept = None
+                kept = {a: {} if keep else None for a in range(0, 6, block)}
+                for probe in (ms, ms[2:5], ms[:1], ms):
+                    parts = [
+                        harness._block_counts(config, probe, a, a + block, part)
+                        for a, part in kept.items()
+                    ]
+                    got = [sum(column) for column in zip(*parts)]
+                    assert got == [sum(v[ms.index(m)] for v in verdicts) for m in probe]
 
     def test_a_block_is_its_trials_set_up_one_at_a_time(self, monkeypatch):
         # rows on different clocks, some flat over a stretch, build every node,
@@ -1005,6 +1024,55 @@ class TestEstimateM95:
             estimate_m95(config, 10, 50, 50)
         with pytest.raises(ValueError):
             estimate_m95(config, 10, 5, 50, threshold=0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda config, trials, workers: sweep(config, [10, 20], trials, workers),
+        lambda config, trials, workers: count_successes(config, trials, workers),
+        lambda config, trials, workers: estimate_m95(config, trials, 10, 300, workers=workers),
+    ],
+    ids=["sweep", "count_successes", "estimate_m95"],
+)
+@pytest.mark.parametrize(
+    "trials, workers",
+    [(0, 1), (-3, 1), (2.5, 1), (4, 0), (4, -4), (4, 2.5), (4, "2")],
+)
+def test_bad_trials_and_workers_are_refused(monkeypatch, call, trials, workers):
+    # a trial or worker count that is not a positive integer is refused before any draw
+    draws = _counting_draws(monkeypatch)
+    config = TrialConfig(OneBit(0.0), 64, 4, 20, master_seed=64)
+    bad = "trials" if trials != 4 else "workers"
+    with pytest.raises(ValueError, match=f"{bad} must be a positive integer"):
+        call(config, trials, workers)
+    assert draws == []
+
+
+def test_concurrent_calls_in_threads_return_their_serial_results(monkeypatch):
+    # each call owns the trials it keeps, so searches and sweeps run at once
+    # from threads of one process, all below the pool break-even, return
+    # what they return alone; a short switch interval interleaves them finely
+    _no_pool(monkeypatch)
+    search = TrialConfig(OneBit(0.0), 64, 4, 10, master_seed=64)
+    linear = TrialConfig(Linear(1.0), 64, 4, 20, master_seed=80)
+    calls = [
+        lambda: estimate_m95(search, 9, 10, 300),
+        lambda: estimate_m95(replace(search, master_seed=65), 9, 10, 300),
+        lambda: sweep(linear, [20, 40, 80], 9),
+        lambda: sweep(replace(linear, master_seed=81), [20, 40, 80], 9),
+    ]
+    serial = [call() for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(call) for call in calls]
+                assert [future.result() for future in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert _blocks_alive() == 0
 
 
 class TestMomentChecks:
