@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import Linear, Logistic, Model, OneBit
-from .numerics import binary_entropy
+from .numerics import _check_int, binary_entropy
 
 __all__ = [
     "NoiselessRegimeError",
@@ -55,14 +55,14 @@ class NoiselessRegimeError(ValueError):
     """
 
 
-def _check_nk(n: int, k: int) -> None:
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k < n):
-        raise ValueError(f"need integers 1 <= k < n, got k={k!r}, n={n!r}")
+def _check_nk(n: int, k: int) -> tuple:
+    n = _check_int("n", n, 2)
+    return n, _check_int("k", k, 1, n - 1)
 
 
-def _check_half(n: int, k: int) -> None:
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n // 2):
-        raise ValueError(f"need integers 1 <= k <= n/2, got k={k!r}, n={n!r}")
+def _check_half(n: int, k: int) -> tuple:
+    n = _check_int("n", n, 2)
+    return n, _check_int("k", k, 1, n // 2)
 
 
 def _check_delta(delta: float) -> None:
@@ -95,7 +95,7 @@ def fano_correction(n: int, k: int, delta: float) -> float:
     delta = 0 and clamps to 0 once the allowed error probability swallows
     the whole entropy budget (vacuous bound).
     """
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     _check_delta(delta)
     penalty = binary_entropy(delta) + delta * k * math.log2(n)
     value = 1.0 - penalty / (k * math.log2(n / k))
@@ -108,7 +108,7 @@ def all_or_nothing_threshold(n: int, k: int, sigma2: float) -> float:
     Below this count even approximate recovery fails; above it, recovery
     succeeds.  The ratio of logarithms is base-free.
     """
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     _check_noisy(sigma2, k)
     return 2.0 * k * math.log2(n / k) / math.log2(1.0 + k / sigma2)
 
@@ -116,7 +116,7 @@ def all_or_nothing_threshold(n: int, k: int, sigma2: float) -> float:
 def conjectured_alg_threshold(n: int, k: int, sigma2: float) -> float:
     """(2k + sigma2) * log2(n): the conjectured floor for efficient algorithms
     on the noisy linear channel."""
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     Linear(sigma2)  # finite and >= 0
     return (2.0 * k + sigma2) * math.log2(n)
 
@@ -130,7 +130,7 @@ def topk_sample_bound(n: int, k: int, model: Model, c: float = 1.0) -> float:
     and the noise level).  A slope that is 0 in floating point (logistic
     beta below about 1e-154) admits no finite count and raises ValueError.
     """
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     _check_positive("c", c)
     L = model.link_slope(k)
     if L == 0.0:
@@ -144,7 +144,7 @@ def topk_sample_bound_closed(n: int, k: int, model: Model, c: float = 1.0) -> fl
     c * (k + sigma2)  * (log2 k + log2(n-k))   for linear and one-bit,
     c * (k + 1/beta^2)* (log2 k + log2(n-k))   for logistic.
     """
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     _check_positive("c", c)
     return c * model.output_scale(k) * (math.log2(k) + math.log2(n - k))
 
@@ -156,20 +156,20 @@ def glm_fano_lower(n: int, k: int, mutual_info_cap: float, delta: float = 0.0) -
     mutual information between one output and the signal (I = 1 for
     binary outputs).
     """
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     _check_positive("mutual_info_cap", mutual_info_cap)
     return k * math.log2(n / k) / mutual_info_cap * fano_correction(n, k, delta)
 
 
 def onebit_fano_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> float:
     """One-bit channel floor (k + sigma2)/2 * log2(n/k), Fano-corrected."""
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     return _binary_fano_lower(n, k, OneBit(sigma2), delta)
 
 
 def logistic_fano_lower(n: int, k: int, beta: float, delta: float = 0.0) -> float:
     """Logistic channel floor (k + 1/beta^2)/2 * log2(n/k), Fano-corrected."""
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     return _binary_fano_lower(n, k, Logistic(beta), delta)
 
 
@@ -187,7 +187,7 @@ def linear_fano_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> floa
     power constraint E[(A_i^T x)^2] <= k; at delta = 0 this equals the
     all-or-nothing threshold.
     """
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     _check_delta(delta)
     _check_noisy(sigma2, k)
     numer = k * math.log2(n / k) - (binary_entropy(delta) + delta * k * math.log2(n))
@@ -205,7 +205,7 @@ def shell_entropy(l, k: int, n: int):
     indices, i.e. sit at Hamming distance 2l.  Real-valued l in (0, k]
     is accepted; the scan-based bounds use integer l.
     """
-    _check_half(n, k)
+    n, k = _check_half(n, k)
     arr = np.asarray(l, dtype=np.float64)
     if np.any((arr <= 0.0) | (arr > k)) or np.any(arr > n - k):
         raise ValueError(f"l must lie in (0, k] with l <= n-k, got {l!r}")
@@ -242,7 +242,7 @@ def mle_sample_bound(n: int, k: int, sigma2: float) -> ScanBound:
     maximum sits, so the empirical argmax is reported alongside the value.
     Requires k <= n/2.
     """
-    _check_half(n, k)
+    n, k = _check_half(n, k)
     _check_noisy(sigma2, 0.5)  # l = 1
     ls = np.arange(1, k + 1, dtype=np.float64)
     values = n * shell_entropy(ls, k, n) / (0.5 * np.log2(1.0 + ls / (2.0 * sigma2)))
@@ -260,7 +260,7 @@ def linear_shell_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> Sca
 
     Clamped at 0 (and flagged vacuous) if the maximum is negative.
     """
-    _check_half(n, k)
+    n, k = _check_half(n, k)
     _check_delta(delta)
     _check_noisy(sigma2, 1.0)  # l = 1 gives the least, at least 1/sigma2
     ls = np.arange(1, k + 1, dtype=np.float64)
@@ -300,7 +300,7 @@ def mle_bound_curve(n: int, sigma2: float, k_values) -> list[CurveRow]:
     """
     rows = []
     for k in k_values:
-        k = int(k)
+        n, k = _check_half(n, k)
         scan = mle_sample_bound(n, k, sigma2)
         l_closed = k * (1.0 - k / n)
         _check_noisy(sigma2, l_closed / 2.0)  # less than mle_sample_bound's 1/2 at k = 1
@@ -336,7 +336,9 @@ class BoundQuery:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_half(self.n, self.k)
+        n, k = _check_half(self.n, self.k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         _check_delta(self.delta)
         _check_positive("c", self.c)
         if self.mutual_info_cap is not None:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MeasurementVector, OneBit, SensingMatrix, SparseSignal, sign_pm1
+from .numerics import _check_int
 
 __all__ = [
     "BudgetExceededError",
@@ -60,7 +61,7 @@ class BudgetExceededError(RuntimeError):
 
 def _check_budget(n: int, k: int, max_candidates: int) -> None:
     """Refuse an MLE whose C(n, k) supports exceed ``max_candidates``."""
-    if math.comb(n, k) > max_candidates:
+    if math.comb(n, k) > _check_int("max_candidates", max_candidates, 1):
         raise BudgetExceededError(
             f"C({n}, {k}) = {math.comb(n, k)} supports exceeds the budget of "
             f"{max_candidates}; shrink the instance or raise max_candidates (CLI: --mle-budget)"
@@ -103,11 +104,12 @@ def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(chosen).astype(np.int64)
 
 
-def _check_prefixes(ms, m: int) -> np.ndarray:
-    rows = np.asarray(ms, dtype=np.int64)
-    ok = rows.ndim == 1 and rows.size > 0 and 1 <= rows[0] and rows[-1] <= m
-    if not (ok and (rows[1:] > rows[:-1]).all()):
-        raise ValueError(f"prefix lengths must be strictly ascending within [1, {m}], got {ms!r}")
+def _check_prefixes(ms, m: int | None = None) -> tuple:
+    """The measurement counts ``ms`` as a tuple of Python ints, if each lies
+    in [1, m] (no upper limit when m is None) and they strictly ascend."""
+    rows = tuple(_check_int("m", row, 1, m) for row in ms)
+    if not rows or any(a >= b for a, b in zip(rows, rows[1:])):
+        raise ValueError(f"m values must be a nonempty, strictly ascending sequence, got {ms!r}")
     return rows
 
 
@@ -120,8 +122,7 @@ def topk_correlation_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> D
     """
     if y.m != A.m:
         raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
-    if not 1 <= k <= A.n:
-        raise ValueError(f"need 1 <= k <= n={A.n}, got k={k}")
+    k = _check_int("k", k, 1, A.n)
     terms = A.entries * y.values[:, None]
     # numpy reduces axis 0 of a 2-D array row by row, but a single column
     # is contiguous and would be summed pairwise; accumulate keeps it in order
@@ -219,10 +220,9 @@ def mle_prefix_decode(
         raise ValueError("maximum-likelihood decoding is implemented for the linear channel only")
     if y.m != A.m:
         raise ValueError(f"dimension mismatch: matrix has m={A.m}, measurements have m={y.m}")
-    if not 1 <= k <= A.n:
-        raise ValueError(f"need 1 <= k <= n={A.n}, got k={k}")
+    k = _check_int("k", k, 1, A.n)
     _check_budget(A.n, k, max_candidates)
-    marks = _check_prefixes(ms, A.m).tolist()
+    marks = _check_prefixes(ms, A.m)
     chain, supports, width = _plan(A.n, k)
     step = max(1, _MLE_BLOCK // width)  # rows held at once
     pieces = sorted(set(marks).union(range(step, marks[-1], step)))
@@ -293,28 +293,20 @@ def quantize_then_decode(A: SensingMatrix, y: MeasurementVector, k: int) -> Deco
     return DecodeResult(inner.support, "quantize_then_topk", inner.scores)
 
 
-def _check_decimal_n(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= DECIMAL_MAX_N:
-        raise ValueError(
-            f"n must lie in [1, {DECIMAL_MAX_N}] so the single float64 measurement "
-            f"is exact, got {n!r}"
-        )
-
-
 def decimal_row(n: int) -> SensingMatrix:
     """The 1 x n design [1, 2, 4, ..., 2^(n-1)] / 2^n.
 
     One noiseless linear measurement through this row encodes the whole
     signal: 2^n * y is the integer whose binary digits are the signal.
     """
-    _check_decimal_n(n)
+    n = _check_int("n", n, 1, DECIMAL_MAX_N)
     entries = np.ldexp(1.0, np.arange(n, dtype=np.int64) - n)
     return SensingMatrix(entries.reshape(1, n))
 
 
 def decimal_encode(x: SparseSignal) -> float:
     """The single measurement produced by :func:`decimal_row` on x, exactly."""
-    _check_decimal_n(x.n)
+    _check_int("n", x.n, 1, DECIMAL_MAX_N)
     total = 0
     for i in x.support:
         total += 1 << i
@@ -329,7 +321,7 @@ def decimal_decode(y: float, n: int) -> np.ndarray:
     noiseless linear channel), and reads the support off its binary
     digits.
     """
-    _check_decimal_n(n)
+    n = _check_int("n", n, 1, DECIMAL_MAX_N)
     scaled = math.ldexp(y, n)
     total = round(scaled)
     if scaled != total:

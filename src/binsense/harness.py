@@ -72,7 +72,14 @@ from .model import (
     sample_projections,
     sign_pm1,
 )
-from .numerics import _U64_MAX, RngStream, _gaussian_rows, derive_trial_stream, sample_gaussian
+from .numerics import (
+    _U64_MAX,
+    RngStream,
+    _check_int,
+    _gaussian_rows,
+    derive_trial_stream,
+    sample_gaussian,
+)
 
 __all__ = [
     "DECODERS",
@@ -122,22 +129,18 @@ class TrialConfig:
     mle_budget: int = MLE_BUDGET
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.k, int) and 1 <= self.k <= self.n):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k!r}, n={self.n!r}")
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "n", _check_int("n", self.n, 1))
+        object.__setattr__(self, "k", _check_int("k", self.k, 1, self.n))
+        object.__setattr__(self, "m", _check_int("m", self.m, 1))
+        seed = _check_int("master_seed", self.master_seed, 0, _U64_MAX)
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "mle_budget", _check_int("mle_budget", self.mle_budget, 1))
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.decoder in ("mle", "quantize") and self.model.binary:
             raise ValueError(
                 f"the {self.decoder!r} decoder requires the linear channel, "
                 f"got {self.model.tag}"
-            )
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed <= _U64_MAX):
-            raise ValueError(
-                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}"
             )
 
 
@@ -288,10 +291,10 @@ def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
     draws the whole matrix at config.m.  Either way the verdict at m is a
     function of (config, trial_index, m) alone.
     """
-    ms = (config.m,) if ms is None else tuple(int(m) for m in ms)
-    if not ms or ms[-1] != config.m:
+    trial_index = _check_int("trial_index", trial_index, 0)
+    ms = (config.m,) if ms is None else _check_prefixes(ms, config.m)
+    if ms[-1] != config.m:
         raise ValueError(f"ms must end at config.m={config.m}, got {ms}")
-    _check_prefixes(ms, config.m)
     if config.decoder != "mle":
         counts = _block_counts(config, ms, trial_index, trial_index + 1)
         return TrialOutcome(tuple(count == 1 for count in counts))
@@ -443,9 +446,7 @@ def _counter(config: TrialConfig, trials: int, workers: int, marks: int, probes:
     of several probes keeps its top-k trials between them, in dicts that
     end with the call (see :func:`_block_counts`).
     """
-    for name, value in (("trials", trials), ("workers", workers)):
-        if not (isinstance(value, int) and value >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    workers = _check_int("workers", workers, 1)
     _check_memory(config)
     workers = _worker_count(workers, trials, _work(config, trials, marks, probes), probes)
     if workers == 1:
@@ -476,6 +477,7 @@ def _success_counts(config: TrialConfig, ms: tuple, trials: int, workers: int) -
 
 def count_successes(config: TrialConfig, trials: int, workers: int = 1) -> int:
     """Successes at config.m over trial indices [0, trials); identical for any worker count."""
+    trials = _check_int("trials", trials, 1)
     return _success_counts(config, (config.m,), trials, workers)[0]
 
 
@@ -485,8 +487,8 @@ _Z95 = 1.959963984540054
 
 def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
-    if not 0 <= successes <= trials or trials < 1:
-        raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
+    trials = _check_int("trials", trials, 1)
+    successes = _check_int("successes", successes, 0, trials)
     p = successes / trials
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
@@ -539,8 +541,7 @@ def sweep(config: TrialConfig, m_grid, trials: int, workers: int = 1) -> SweepRe
     samples of the same underlying instances at growing m; each trial is
     set up once and judged at every m of the grid.
     """
-    grid = tuple(int(m) for m in m_grid)
-    _check_prefixes(grid, max(grid, default=1))
+    grid, trials = _check_prefixes(m_grid), _check_int("trials", trials, 1)
     rows = []
     for m, successes in zip(grid, _success_counts(config, grid, trials, workers)):
         lo, hi = wilson_interval(successes, trials)
@@ -589,20 +590,18 @@ def estimate_m95(
     transition is steep (all-or-nothing behavior), which is what makes
     bisection on a noisy but effectively monotone curve reliable.
     """
-    if not (isinstance(m_lo, int) and isinstance(m_hi, int) and 1 <= m_lo < m_hi):
-        raise ValueError(f"need 1 <= m_lo < m_hi, got m_lo={m_lo!r}, m_hi={m_hi!r}")
+    m_lo = _check_int("m_lo", m_lo, 1)
+    m_hi = _check_int("m_hi", m_hi, m_lo + 1)
+    trials = _check_int("trials", trials, 1)
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
-    cache = {}
-    probes = []
+    cache = {}  # successes at each probed m, in the order probed
     most = 2 + (m_hi - m_lo - 1).bit_length()  # the bracket's ends, then a probe a halving
     with _counter(replace(config, m=m_hi), trials, workers, 1, most) as counts:
 
         def rate(m: int) -> float:
             if m not in cache:
-                successes = counts((m,))[0]
-                cache[m] = successes
-                probes.append(ProbeRow(m, successes, trials, successes / trials))
+                cache[m] = counts((m,))[0]
             return cache[m] / trials
 
         if rate(m_hi) < threshold:
@@ -623,9 +622,8 @@ def estimate_m95(
             m95 = hi
     successes = cache[m95]
     lo_ci, hi_ci = wilson_interval(successes, trials)
-    return M95Result(
-        m95, threshold, trials, successes, successes / trials, lo_ci, hi_ci, tuple(probes)
-    )
+    probes = tuple(ProbeRow(m, s, trials, s / trials) for m, s in cache.items())
+    return M95Result(m95, threshold, trials, successes, successes / trials, lo_ci, hi_ci, probes)
 
 
 @dataclass(frozen=True)
@@ -664,9 +662,8 @@ def moment_check_onebit(
     (the link slope); outside the support the output and the column are
     uncorrelated, so the target is 0.
     """
-    slope = OneBit(sigma2).link_slope(k)  # checks k and sigma2
-    if not (isinstance(samples, int) and samples >= 2):
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+    k, samples = _check_int("k", k, 1), _check_int("samples", samples, 2)
+    slope = OneBit(sigma2).link_slope(k)  # checks sigma2
     stream = RngStream(master_seed)
     g = sample_gaussian(stream, samples * (k + 2)).reshape(samples, k + 2)
     t = g[:, :k].sum(axis=1)
@@ -686,12 +683,9 @@ def moment_check_logistic(
     This Gaussian moment is the quantity that pins the logistic link
     slope; beta = 0 degenerates to the exact value 1.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    k, samples = _check_int("k", k, 1), _check_int("samples", samples, 2)
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    if not (isinstance(samples, int) and samples >= 2):
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
     stream = RngStream(master_seed)
     t = math.sqrt(k) * sample_gaussian(stream, samples)
     w = np.exp(-((beta * t) ** 2) / 4.0)

@@ -22,7 +22,14 @@ from typing import Union
 import numpy as np
 from scipy.special import expit
 
-from .numerics import RngStream, _uniforms, sample_gaussian, sample_indices, std_normal_cdf
+from .numerics import (
+    RngStream,
+    _check_int,
+    _uniforms,
+    sample_gaussian,
+    sample_indices,
+    std_normal_cdf,
+)
 
 __all__ = [
     "Linear",
@@ -82,9 +89,7 @@ class _Channel:
         * linear:    1 / sqrt(k + sigma2), after normalizing by the output's
           sub-Gaussian scale.
         """
-        if not (isinstance(k, int) and k >= 1):
-            raise ValueError(f"k must be a positive integer, got {k!r}")
-        return self._slope(k)
+        return self._slope(_check_int("k", k, 1))
 
 
 @dataclass(frozen=True)
@@ -223,12 +228,9 @@ class SparseSignal:
     support: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        sup = tuple(int(i) for i in self.support)
+        object.__setattr__(self, "n", _check_int("n", self.n, 1))
+        sup = tuple(_check_int("support index", i, 0, self.n - 1) for i in self.support)
         object.__setattr__(self, "support", sup)
-        if any(not 0 <= i < self.n for i in sup):
-            raise ValueError(f"support indices must lie in [0, {self.n})")
         if any(a >= b for a, b in zip(sup, sup[1:])):
             raise ValueError("support must be strictly increasing (sorted, distinct)")
 
@@ -248,7 +250,7 @@ class SparseSignal:
 
 def random_signal(n: int, k: int, stream: RngStream) -> SparseSignal:
     """Signal with support drawn uniformly over all k-subsets of range(n)."""
-    return SparseSignal(n, tuple(sample_indices(stream, n, k)))
+    return SparseSignal(n, tuple(sample_indices(stream, n, k).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +280,7 @@ def gen_sensing_matrix(m: int, n: int, stream: RngStream) -> SensingMatrix:
     For any k-sparse binary x this design satisfies E[(A_i^T x)^2] = k,
     the power constraint the bounds assume.
     """
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
-        raise ValueError(f"m and n must be positive integers, got m={m!r}, n={n!r}")
+    m, n = _check_int("m", m, 1), _check_int("n", n, 1)
     entries = sample_gaussian(stream, m * n).reshape(m, n)
     return SensingMatrix(entries)
 

@@ -30,6 +30,7 @@ at its own stream and counter (``_gaussian_rows``).
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -54,6 +55,20 @@ _SQRT2 = math.sqrt(2.0)
 TRIAL_STREAM_SLOTS = 8
 
 
+def _check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """The library's one rule for an integer argument: ``value`` as a Python
+    int if it is a Python or numpy integer in [low, high] (no upper limit
+    when high is None), else ValueError.  A bool or a float, even 10.0, fails."""
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        number = int(value)
+        if low <= number and (high is None or number <= high):
+            return number
+    if low == 1 and high is None:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    span = f"[{low}, inf)" if high is None else f"[{low}, {high}]"
+    raise ValueError(f"{name} must be an integer in {span}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream keyed by (master_seed, stream_id).
@@ -69,9 +84,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= _U64_MAX:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 0, _U64_MAX))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
@@ -83,8 +96,7 @@ class RngStream:
         Valid only one level deep: tags occupy the slots that
         :func:`derive_trial_stream` reserves, so nested calls would collide.
         """
-        if not 0 <= tag < TRIAL_STREAM_SLOTS:
-            raise ValueError(f"substream tag must lie in [0, {TRIAL_STREAM_SLOTS})")
+        tag = _check_int("substream tag", tag, 0, TRIAL_STREAM_SLOTS - 1)
         return RngStream(self.master_seed, (self.stream_id + tag) & _U64_MAX)
 
 
@@ -96,8 +108,7 @@ def derive_trial_stream(master_seed: int, trial_index: int) -> RngStream:
     other trial.  The map is injective for trial indices below 2**61,
     far beyond any desk-scale sweep.
     """
-    if not isinstance(trial_index, int) or trial_index < 0:
-        raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index!r}")
+    trial_index = _check_int("trial_index", trial_index, 0)
     return RngStream(master_seed, (trial_index * TRIAL_STREAM_SLOTS) & _U64_MAX)
 
 
@@ -189,10 +200,8 @@ def sample_gaussian(stream: RngStream, count: int, *, start: int = 0) -> np.ndar
     uniforms are read straight from ``start``, so reading a slice costs
     no more than its own samples.  A block of rows: :func:`_gaussian_rows`.
     """
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    if not isinstance(start, int) or not 0 <= start < 2**66:  # start // 4 fills one counter word
-        raise ValueError(f"start must be an integer in [0, 2**66), got {start!r}")
+    count = _check_int("count", count, 1)
+    start = _check_int("start", start, 0, 2**66 - 1)  # start // 4 fills one counter word
     return _gaussian_rows((stream,), count, start, np.empty((1, count)))[0]
 
 
@@ -203,8 +212,8 @@ def sample_indices(stream: RngStream, n: int, k: int) -> np.ndarray:
     53-bit uniform to a bounded integer carries an O(2**-53) bias,
     negligible at any feasible n.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    n = _check_int("n", n, 0)
+    k = _check_int("k", k, 0, n)
     if k == 0:
         return np.empty(0, dtype=np.int64)
     u = _uniforms(stream, k)

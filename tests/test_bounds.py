@@ -349,6 +349,9 @@ class TestBoundCurve:
         assert len(lines) == 3 and text.endswith("\n")
 
 
+EXHAUSTED = "vacuous: error-probability correction exhausts the entropy budget"
+
+
 class TestBoundReport:
     def test_linear_report_complete(self):
         query = BoundQuery(50_000, 1000, Linear(1.0), delta=0.0, mutual_info_cap=None)
@@ -380,6 +383,25 @@ class TestBoundReport:
         assert report.m_star is None
         assert any("sigma2=0" in note for note in report.notes)
         assert report.m_alg == pytest.approx(32 * 10.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, field, note",
+        [
+            (OneBit(1.0), "onebit_lower", f"onebit_lower {EXHAUSTED}"),
+            (Logistic(1.0), "logistic_lower", f"logistic_lower {EXHAUSTED}"),
+            (Linear(1.0), "spl_fano_lower", "spl_fano_lower vacuous: numerator clamped at 0"),
+        ],
+    )
+    def test_vacuous_lower_bounds_are_noted(self, model, field, note):
+        # at delta = 0.9 the Fano correction clamps to 0, and with it the
+        # generic floor and the channel's own lower bound, each with its note
+        report = bound_report(BoundQuery(1000, 10, model, delta=0.9, mutual_info_cap=1.0))
+        assert (report.glm_lower, getattr(report, field)) == (0.0, 0.0)
+        assert report.notes == (
+            f"glm_lower {EXHAUSTED}",
+            note,
+            "fano correction clamped to 0 at this delta (vacuous lower bounds)",
+        )
 
     def test_json_stable(self):
         report = bound_report(BoundQuery(1024, 16, Linear(1.0), delta=0.05))

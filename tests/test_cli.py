@@ -91,19 +91,21 @@ def test_bounds_matches_library(tmp_path, model_args, model, noise):
 def test_plot1_csv_and_svg(tmp_path):
     csv_path = tmp_path / "curve.csv"
     svg_path = tmp_path / "curve.svg"
-    code = main(
-        [
-            "plot1", "--n", "50000", "--sigma2", "1", "--k-min", "1000",
-            "--k-max", "4000", "--k-step", "1000", "--out", str(csv_path),
-            "--svg", str(svg_path),
-        ]
-    )
-    assert code == 0
-    assert csv_path.read_text() == curve_to_csv(mle_bound_curve(50_000, 1.0, range(1000, 4001, 1000)))
-    root = ET.fromstring(svg_path.read_text())
-    assert root.tag.endswith("svg")
-    polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
-    assert len(polylines) == 2
+    for k_max in (4000, 1000):  # a one-point curve has a flat k axis
+        code = main(
+            [
+                "plot1", "--n", "50000", "--sigma2", "1", "--k-min", "1000",
+                "--k-max", str(k_max), "--k-step", "1000", "--out", str(csv_path),
+                "--svg", str(svg_path),
+            ]
+        )
+        assert code == 0
+        ks = range(1000, k_max + 1, 1000)
+        assert csv_path.read_text() == curve_to_csv(mle_bound_curve(50_000, 1.0, ks))
+        root = ET.fromstring(svg_path.read_text())
+        assert root.tag.endswith("svg")
+        polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert len(polylines) == 2
 
 
 def test_check_moments_json(tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import binsense
@@ -214,9 +214,10 @@ class TestMeasure:
         sigma2=st.floats(0.0, 100.0),
         beta=st.floats(0.01, 100.0),
     )
+    @example(seed=3, m=5, n=4, k_frac=0.0, sigma2=1.0, beta=1.0)  # the empty signal
     def test_measure_observes_the_projection(self, seed, m, n, k_frac, sigma2, beta):
         # measure is the channel applied to t = A x, summed in support order
-        x = random_signal(n, max(1, round(k_frac * n)), RngStream(seed, 0))
+        x = random_signal(n, round(k_frac * n), RngStream(seed, 0))
         A = gen_sensing_matrix(m, n, RngStream(seed, 1))
         t = np.zeros(m)
         for j in x.support:

@@ -5,8 +5,11 @@ entropy and link values, adaptive quadrature of the Gaussian density for
 the CDF) and frozen here.
 """
 
+import ast
 import math
+import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import binsense
+from binsense import model, numerics
+from binsense.bounds import BoundQuery, bound_report, fano_correction, mle_bound_curve
+from binsense.decode import (
+    decimal_decode,
+    decimal_row,
+    mle_decode_linear,
+    mle_prefix_decode,
+    quantize_then_decode,
+    topk_correlation_decode,
+)
+from binsense.harness import (
+    TrialConfig,
+    count_successes,
+    estimate_m95,
+    moment_check_logistic,
+    moment_check_onebit,
+    run_trial,
+    sweep,
+    wilson_interval,
+)
+from binsense.model import Linear, Logistic, OneBit, SparseSignal, gen_sensing_matrix, measure
 from binsense.numerics import (
     RngStream,
     _gaussian_rows,
@@ -292,3 +317,98 @@ class TestSampleIndices:
         a = sample_indices(RngStream(3, 5), 50, 7)
         b = sample_indices(RngStream(3, 5), 50, 7)
         assert np.array_equal(a, b)
+
+
+_A = gen_sensing_matrix(12, 6, RngStream(1))
+_Y = measure(_A, SparseSignal(6, (1, 4)), Linear(0.5), RngStream(2))
+_TOPK = TrialConfig(OneBit(0.0), 64, 4, 20, master_seed=64)
+
+# every integer argument of the public API: (a call with the value in that
+# slot, the lowest value it admits, a value it admits)
+INTEGER_ARGUMENTS = {
+    "RngStream.master_seed": (lambda v: RngStream(v, 1), 0, 7),
+    "RngStream.stream_id": (lambda v: RngStream(7, v), 0, 1),
+    "RngStream.substream": (lambda v: RngStream(7).substream(v), 0, 2),
+    "derive_trial_stream": (lambda v: derive_trial_stream(7, v), 0, 3),
+    "sample_gaussian.count": (lambda v: sample_gaussian(RngStream(7), v), 1, 5),
+    "sample_gaussian.start": (lambda v: sample_gaussian(RngStream(7), 5, start=v), 0, 6),
+    "sample_indices.n": (lambda v: sample_indices(RngStream(7), v, 3), 0, 9),
+    "sample_indices.k": (lambda v: sample_indices(RngStream(7), 9, v), 0, 3),
+    "link_slope": (lambda v: Logistic(2.0).link_slope(v), 1, 4),
+    "SparseSignal.n": (lambda v: SparseSignal(v, (1, 4)), 1, 6),
+    "SparseSignal.support": (lambda v: SparseSignal(6, (v, 4)), 0, 1),
+    "gen_sensing_matrix.m": (lambda v: gen_sensing_matrix(v, 6, RngStream(1)), 1, 12),
+    "gen_sensing_matrix.n": (lambda v: gen_sensing_matrix(12, v, RngStream(1)), 1, 6),
+    "topk_correlation_decode": (lambda v: topk_correlation_decode(_A, _Y, v), 1, 2),
+    "quantize_then_decode": (lambda v: quantize_then_decode(_A, _Y, v), 1, 2),
+    "mle_decode_linear": (lambda v: mle_decode_linear(_A, _Y, v), 1, 2),
+    "mle_decode_linear.max_candidates": (lambda v: mle_decode_linear(_A, _Y, 2, v), 1, 15),
+    "mle_prefix_decode.k": (lambda v: mle_prefix_decode(_A, _Y, v, [6, 12]), 1, 2),
+    "mle_prefix_decode.ms": (lambda v: mle_prefix_decode(_A, _Y, 2, [v, 12]), 1, 6),
+    "decimal_row": (decimal_row, 1, 9),
+    "decimal_decode": (lambda v: decimal_decode(0.5, v), 1, 9),
+    "TrialConfig.n": (lambda v: TrialConfig(OneBit(1.0), v, 2, 20), 1, 32),
+    "TrialConfig.k": (lambda v: TrialConfig(OneBit(1.0), 32, v, 20), 1, 2),
+    "TrialConfig.m": (lambda v: TrialConfig(OneBit(1.0), 32, 2, v), 1, 20),
+    "TrialConfig.master_seed": (lambda v: TrialConfig(OneBit(1.0), 32, 2, 20, master_seed=v), 0, 3),
+    "TrialConfig.mle_budget": (lambda v: TrialConfig(Linear(1.0), 8, 2, 12, "mle", 0, v), 1, 28),
+    "run_trial.trial_index": (lambda v: run_trial(_TOPK, v), 0, 5),
+    "run_trial.ms": (lambda v: run_trial(_TOPK, 5, [v, 20]), 1, 10),
+    "count_successes.trials": (lambda v: count_successes(_TOPK, v), 1, 6),
+    "count_successes.workers": (lambda v: count_successes(_TOPK, 6, v), 1, 2),
+    "sweep.m_grid": (lambda v: sweep(_TOPK, [v, 20], 6), 1, 10),
+    "sweep.trials": (lambda v: sweep(_TOPK, [10, 20], v), 1, 6),
+    "estimate_m95.trials": (lambda v: estimate_m95(_TOPK, v, 10, 300), 1, 9),
+    "estimate_m95.m_lo": (lambda v: estimate_m95(_TOPK, 9, v, 300), 1, 10),
+    "estimate_m95.m_hi": (lambda v: estimate_m95(_TOPK, 9, 10, v), 11, 300),
+    "wilson_interval.trials": (lambda v: wilson_interval(3, v), 1, 10),
+    "wilson_interval.successes": (lambda v: wilson_interval(v, 10), 0, 3),
+    "moment_check_onebit.k": (lambda v: moment_check_onebit(v, 1.0, 50), 1, 3),
+    "moment_check_onebit.samples": (lambda v: moment_check_onebit(3, 1.0, v), 2, 50),
+    "moment_check_logistic.k": (lambda v: moment_check_logistic(v, 1.0, 50), 1, 3),
+    "moment_check_logistic.samples": (lambda v: moment_check_logistic(3, 1.0, v), 2, 50),
+    "fano_correction.n": (lambda v: fano_correction(v, 1, 0.1), 2, 100),
+    "fano_correction.k": (lambda v: fano_correction(100, v, 0.1), 1, 3),
+    "BoundQuery.n": (lambda v: bound_report(BoundQuery(v, 1, Linear(1.0))).to_json(), 2, 100),
+    "BoundQuery.k": (lambda v: bound_report(BoundQuery(100, v, Linear(1.0))).to_json(), 1, 3),
+    "mle_bound_curve": (lambda v: mle_bound_curve(100, 1.0, [v, 5]), 1, 3),
+}
+
+
+@pytest.mark.parametrize("call, low, valid", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
+def test_one_rule_for_integer_arguments(monkeypatch, call, low, valid):
+    # a fraction, a bool and a value below the range are refused before any
+    # draw, where a fraction was truncated and a bool taken for 0 or 1; a
+    # numpy integer is taken as its Python int, down to the pickled bytes
+    draws = []
+
+    def counted(stream, count, start=0, out=None):
+        draws.append(stream)
+        return uniforms(stream, count, start, out)
+
+    uniforms = numerics._uniforms
+    monkeypatch.setattr(numerics, "_uniforms", counted)
+    monkeypatch.setattr(model, "_uniforms", counted)
+    for bad in (2.5, True, low - 1):
+        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+            call(bad)
+    assert draws == []
+    assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
+
+
+def int_isinstance_lines(path) -> list:
+    """Line numbers in ``path`` of the isinstance calls that name ``int``."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(Path(path).read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and any(getattr(sub, "id", None) == "int" for arg in node.args[1:] for sub in ast.walk(arg))
+    })
+
+
+def test_only_the_integer_rule_asks_for_an_int():
+    # every integer argument goes through numerics._check_int, which tests
+    # numbers.Integral; no module tests isinstance(..., int) on its own
+    package = Path(binsense.__file__).parent
+    found = {path.name: int_isinstance_lines(path) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
