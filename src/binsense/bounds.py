@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import Linear, Logistic, Model, OneBit
-from .numerics import _check_int, binary_entropy
+from .model import Logistic, Model, OneBit
+from .numerics import _check_int, _check_real, binary_entropy
 
 __all__ = [
     "NoiselessRegimeError",
@@ -65,20 +65,10 @@ def _check_half(n: int, k: int) -> tuple:
     return n, _check_int("k", k, 1, n // 2)
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    if value is None or not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_noisy(sigma2: float, power: float) -> None:
-    """Refuse a sigma2 the channel refuses, 0 (the noiseless regime), or one at
-    which the smallest capacity term divided by, log2(1 + power/sigma2), is 0."""
-    Linear(sigma2)  # finite and >= 0
+def _check_noisy(sigma2, power: float) -> float:
+    """sigma2 as a float, unless the channel refuses it, it is 0 (the noiseless regime),
+    or the smallest capacity term divided by, log2(1 + power/sigma2), is 0."""
+    sigma2 = _check_real("sigma2", sigma2, 0, math.inf, "[)")
     if sigma2 == 0.0:
         raise NoiselessRegimeError(
             "bound undefined at sigma2=0: one exact measurement recovers the signal "
@@ -86,6 +76,7 @@ def _check_noisy(sigma2: float, power: float) -> None:
         )
     if 1.0 + power / sigma2 == 1.0:
         raise ValueError(f"bound undefined at sigma2={sigma2!r}: 1 + {power:g}/sigma2 rounds to 1")
+    return sigma2
 
 
 def fano_correction(n: int, k: int, delta: float) -> float:
@@ -96,7 +87,7 @@ def fano_correction(n: int, k: int, delta: float) -> float:
     the whole entropy budget (vacuous bound).
     """
     n, k = _check_nk(n, k)
-    _check_delta(delta)
+    delta = _check_real("delta", delta, 0, 1, "[)")
     penalty = binary_entropy(delta) + delta * k * math.log2(n)
     value = 1.0 - penalty / (k * math.log2(n / k))
     return max(0.0, value)
@@ -109,7 +100,7 @@ def all_or_nothing_threshold(n: int, k: int, sigma2: float) -> float:
     succeeds.  The ratio of logarithms is base-free.
     """
     n, k = _check_nk(n, k)
-    _check_noisy(sigma2, k)
+    sigma2 = _check_noisy(sigma2, k)
     return 2.0 * k * math.log2(n / k) / math.log2(1.0 + k / sigma2)
 
 
@@ -117,7 +108,7 @@ def conjectured_alg_threshold(n: int, k: int, sigma2: float) -> float:
     """(2k + sigma2) * log2(n): the conjectured floor for efficient algorithms
     on the noisy linear channel."""
     n, k = _check_nk(n, k)
-    Linear(sigma2)  # finite and >= 0
+    sigma2 = _check_real("sigma2", sigma2, 0, math.inf, "[)")
     return (2.0 * k + sigma2) * math.log2(n)
 
 
@@ -131,7 +122,7 @@ def topk_sample_bound(n: int, k: int, model: Model, c: float = 1.0) -> float:
     beta below about 1e-154) admits no finite count and raises ValueError.
     """
     n, k = _check_nk(n, k)
-    _check_positive("c", c)
+    c = _check_real("c", c, 0, math.inf, "()")
     L = model.link_slope(k)
     if L == 0.0:
         raise ValueError(f"the link slope of {model!r} at k={k} is 0 in floating point")
@@ -145,7 +136,7 @@ def topk_sample_bound_closed(n: int, k: int, model: Model, c: float = 1.0) -> fl
     c * (k + 1/beta^2)* (log2 k + log2(n-k))   for logistic.
     """
     n, k = _check_nk(n, k)
-    _check_positive("c", c)
+    c = _check_real("c", c, 0, math.inf, "()")
     return c * model.output_scale(k) * (math.log2(k) + math.log2(n - k))
 
 
@@ -157,7 +148,7 @@ def glm_fano_lower(n: int, k: int, mutual_info_cap: float, delta: float = 0.0) -
     binary outputs).
     """
     n, k = _check_nk(n, k)
-    _check_positive("mutual_info_cap", mutual_info_cap)
+    mutual_info_cap = _check_real("mutual_info_cap", mutual_info_cap, 0, math.inf, "()")
     return k * math.log2(n / k) / mutual_info_cap * fano_correction(n, k, delta)
 
 
@@ -188,8 +179,8 @@ def linear_fano_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> floa
     all-or-nothing threshold.
     """
     n, k = _check_nk(n, k)
-    _check_delta(delta)
-    _check_noisy(sigma2, k)
+    delta = _check_real("delta", delta, 0, 1, "[)")
+    sigma2 = _check_noisy(sigma2, k)
     numer = k * math.log2(n / k) - (binary_entropy(delta) + delta * k * math.log2(n))
     denom = 0.5 * math.log2(1.0 + k / sigma2)
     return max(0.0, numer / denom)
@@ -243,7 +234,7 @@ def mle_sample_bound(n: int, k: int, sigma2: float) -> ScanBound:
     Requires k <= n/2.
     """
     n, k = _check_half(n, k)
-    _check_noisy(sigma2, 0.5)  # l = 1
+    sigma2 = _check_noisy(sigma2, 0.5)  # l = 1
     ls = np.arange(1, k + 1, dtype=np.float64)
     values = n * shell_entropy(ls, k, n) / (0.5 * np.log2(1.0 + ls / (2.0 * sigma2)))
     value, argmax_l = _scan_max(values)
@@ -261,8 +252,8 @@ def linear_shell_lower(n: int, k: int, sigma2: float, delta: float = 0.0) -> Sca
     Clamped at 0 (and flagged vacuous) if the maximum is negative.
     """
     n, k = _check_half(n, k)
-    _check_delta(delta)
-    _check_noisy(sigma2, 1.0)  # l = 1 gives the least, at least 1/sigma2
+    delta = _check_real("delta", delta, 0, 1, "[)")
+    sigma2 = _check_noisy(sigma2, 1.0)  # l = 1 gives the least, at least 1/sigma2
     ls = np.arange(1, k + 1, dtype=np.float64)
     numer = (
         n * shell_entropy(ls, k, n)
@@ -297,13 +288,16 @@ def mle_bound_curve(n: int, sigma2: float, k_values) -> list[CurveRow]:
     point l = k*(1 - k/n), where the shell exponent collapses to
     h2(k/n).  m1 >= m2 whenever that point is an integer, and the two
     stay within a fraction of a percent of each other at desk scale.
+    Every k is checked, and an empty ``k_values`` refused, before any scan.
     """
+    pairs = [_check_half(n, k) for k in k_values]
+    if not pairs:
+        raise ValueError(f"k_values must be nonempty, got {k_values!r}")
     rows = []
-    for k in k_values:
-        n, k = _check_half(n, k)
+    for n, k in pairs:
         scan = mle_sample_bound(n, k, sigma2)
         l_closed = k * (1.0 - k / n)
-        _check_noisy(sigma2, l_closed / 2.0)  # less than mle_sample_bound's 1/2 at k = 1
+        sigma2 = _check_noisy(sigma2, l_closed / 2.0)  # less than mle_sample_bound's 1/2 at k = 1
         m2 = n * shell_entropy(l_closed, k, n) / (
             0.5 * math.log2(1.0 + l_closed / (2.0 * sigma2))
         )
@@ -339,10 +333,11 @@ class BoundQuery:
         n, k = _check_half(self.n, self.k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        _check_delta(self.delta)
-        _check_positive("c", self.c)
+        object.__setattr__(self, "delta", _check_real("delta", self.delta, 0, 1, "[)"))
+        object.__setattr__(self, "c", _check_real("c", self.c, 0, math.inf, "()"))
         if self.mutual_info_cap is not None:
-            _check_positive("mutual_info_cap", self.mutual_info_cap)
+            cap = _check_real("mutual_info_cap", self.mutual_info_cap, 0, math.inf, "()")
+            object.__setattr__(self, "mutual_info_cap", cap)
 
 
 @dataclass(frozen=True)

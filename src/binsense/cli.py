@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -26,23 +27,10 @@ from .harness import (
     sweep,
 )
 from .model import CHANNELS, Model
+from .numerics import _check_int
 from .svgplot import line_chart
 
 __all__ = ["main", "build_parser"]
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
 
 
 def _add_model_args(sub: argparse.ArgumentParser, tags=tuple(c.tag for c in CHANNELS)) -> None:
@@ -64,32 +52,30 @@ def _model_from_args(args) -> Model:
 
 def _add_trial_args(sub: argparse.ArgumentParser) -> None:
     _add_model_args(sub)
-    sub.add_argument("--n", type=_positive_int, required=True)
-    sub.add_argument("--k", type=_positive_int, required=True)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--decoder", choices=DECODERS, default="topk")
-    sub.add_argument("--seed", type=_nonneg_int, default=0)
-    sub.add_argument("--workers", type=_positive_int, default=1)
-    sub.add_argument("--mle-budget", type=_positive_int, default=MLE_BUDGET)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--mle-budget", type=int, default=MLE_BUDGET)
     sub.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
 
-def _emit(args, text: str) -> None:
-    if args.out is None:
+def _emit(path, text: str) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", newline="") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
 
 
-def _parse_grid(text: str) -> list:
+def _parse_grid(text: str) -> range:
     """Parse 'lo:hi:step' into an ascending inclusive-when-aligned grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--m-grid must look like lo:hi:step, got {text!r}")
     lo, hi, step = (int(p) for p in parts)
-    if lo < 1 or hi < lo or step < 1:
-        raise ValueError(f"need 1 <= lo <= hi and step >= 1 in --m-grid, got {text!r}")
-    return list(range(lo, hi + 1, step))
+    return range(lo, hi + 1, _check_int("--m-grid step", step, 1))
 
 
 def _trial_config(args, m: int) -> TrialConfig:
@@ -101,7 +87,7 @@ def _trial_config(args, m: int) -> TrialConfig:
 def _cmd_simulate(args) -> int:
     config = _trial_config(args, args.m)
     result = sweep(config, [args.m], args.trials, workers=args.workers)
-    _emit(args, result.to_csv())
+    _emit(args.out, result.to_csv())
     row = result.rows[0]
     print(
         f"simulate: {config.model.tag} n={config.n} k={config.k} m={config.m} "
@@ -114,8 +100,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.m_grid)
-    result = sweep(_trial_config(args, grid[0]), grid, args.trials, workers=args.workers)
-    _emit(args, result.to_csv())
+    result = sweep(_trial_config(args, grid.start), grid, args.trials, workers=args.workers)
+    _emit(args.out, result.to_csv())
     print(f"sweep: {len(result.rows)} grid points written", file=sys.stderr)
     return 0
 
@@ -141,7 +127,7 @@ def _cmd_m95(args) -> int:
         },
         **asdict(result),
     }
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args.out, json.dumps(payload, indent=2) + "\n")
     print(f"m95: threshold reached at m={result.m95}", file=sys.stderr)
     return 0
 
@@ -155,14 +141,14 @@ def _cmd_bounds(args) -> int:
         mutual_info_cap=args.mutual_info_cap,
         c=args.c_const,
     )
-    _emit(args, bound_report(query).to_json())
+    _emit(args.out, bound_report(query).to_json())
     return 0
 
 
 def _cmd_plot1(args) -> int:
-    k_values = range(args.k_min, args.k_max + 1, args.k_step)
+    k_values = range(args.k_min, args.k_max + 1, _check_int("--k-step", args.k_step, 1))
     rows = mle_bound_curve(args.n, args.sigma2, k_values)
-    _emit(args, curve_to_csv(rows))
+    _emit(args.out, curve_to_csv(rows))
     if args.svg is not None:
         ks = [row.k for row in rows]
         chart = line_chart(
@@ -171,8 +157,7 @@ def _cmd_plot1(args) -> int:
             x_label="k",
             y_label="measurements",
         )
-        with open(args.svg, "w", newline="") as fh:
-            fh.write(chart)
+        _emit(args.svg, chart)
     return 0
 
 
@@ -186,7 +171,7 @@ def _cmd_check_moments(args) -> int:
     payload = {
         "model": model.tag, "k": args.k, model.noise_name: noise, "seed": args.seed, **asdict(check)
     }
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args.out, json.dumps(payload, indent=2) + "\n")
     print(
         f"check-moments: estimate {check.estimate:.6g} vs target {check.target:.6g} "
         f"(z = {check.z_score:.3f})",
@@ -205,28 +190,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="repeated trials at one measurement count")
     _add_trial_args(p)
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("sweep", help="success-rate curve over a grid of m")
     _add_trial_args(p)
     p.add_argument("--m-grid", required=True, help="lo:hi:step, inclusive when aligned")
-    p.add_argument("--trials", type=_positive_int, required=True)
+    p.add_argument("--trials", type=int, required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("m95", help="bisect for the smallest m reaching the success threshold")
     _add_trial_args(p)
-    p.add_argument("--m-lo", type=_positive_int, required=True)
-    p.add_argument("--m-hi", type=_positive_int, required=True)
-    p.add_argument("--trials-per-probe", type=_positive_int, required=True)
+    p.add_argument("--m-lo", type=int, required=True)
+    p.add_argument("--m-hi", type=int, required=True)
+    p.add_argument("--trials-per-probe", type=int, required=True)
     p.add_argument("--success-threshold", type=float, default=0.95)
     p.set_defaults(func=_cmd_m95)
 
     p = subs.add_parser("bounds", help="JSON catalog of sample-complexity bounds")
     _add_model_args(p)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--c-const", type=float, default=1.0)
     p.add_argument("--mutual-info-cap", type=float, default=None)
@@ -234,20 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = subs.add_parser("plot1", help="CSV (and optional SVG) of the MLE bound curve m1/m2")
-    p.add_argument("--n", type=_positive_int, default=50_000)
+    p.add_argument("--n", type=int, default=50_000)
     p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--k-min", type=_positive_int, default=1000)
-    p.add_argument("--k-max", type=_positive_int, default=25_000)
-    p.add_argument("--k-step", type=_positive_int, default=1000)
+    p.add_argument("--k-min", type=int, default=1000)
+    p.add_argument("--k-max", type=int, default=25_000)
+    p.add_argument("--k-step", type=int, default=1000)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_plot1)
 
     p = subs.add_parser("check-moments", help="Monte Carlo check of a closed-form moment")
     _add_model_args(p, tags=tuple(_MOMENT_CHECKS))
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check_moments)
 
@@ -258,6 +243,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in filter(None, (args.out, getattr(args, "svg", None))):  # before any work
+            if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+                raise ValueError(f"cannot write {path!r}: not a file in a writable directory")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

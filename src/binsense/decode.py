@@ -148,6 +148,7 @@ def _index(count: int) -> np.dtype:
     return np.min_scalar_type(max(count - 1, 0))
 
 
+@functools.lru_cache(maxsize=1)  # every trial of a call asks for the same
 def _mle_footprint(m: int, n: int, k: int) -> int:
     """Bytes :func:`mle_prefix_decode` holds for an m x n matrix and k: the
     matrix; its room for a piece, two levels and a gathered column, each

@@ -76,6 +76,7 @@ from .numerics import (
     _U64_MAX,
     RngStream,
     _check_int,
+    _check_real,
     _gaussian_rows,
     derive_trial_stream,
     sample_gaussian,
@@ -289,12 +290,14 @@ def run_trial(config: TrialConfig, trial_index: int, ms=None) -> TrialOutcome:
     [trial_index, trial_index + 1) of :func:`_block_counts`, judged from
     the scores' sufficient statistics with no matrix drawn; an MLE trial
     draws the whole matrix at config.m.  Either way the verdict at m is a
-    function of (config, trial_index, m) alone.
+    function of (config, trial_index, m) alone.  A trial over the MLE
+    budget or too large for memory is refused before any draw.
     """
     trial_index = _check_int("trial_index", trial_index, 0)
     ms = (config.m,) if ms is None else _check_prefixes(ms, config.m)
     if ms[-1] != config.m:
         raise ValueError(f"ms must end at config.m={config.m}, got {ms}")
+    _check_memory(config)
     if config.decoder != "mle":
         counts = _block_counts(config, ms, trial_index, trial_index + 1)
         return TrialOutcome(tuple(count == 1 for count in counts))
@@ -593,8 +596,7 @@ def estimate_m95(
     m_lo = _check_int("m_lo", m_lo, 1)
     m_hi = _check_int("m_hi", m_hi, m_lo + 1)
     trials = _check_int("trials", trials, 1)
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
+    threshold = _check_real("threshold", threshold, 0, 1, "(]")
     cache = {}  # successes at each probed m, in the order probed
     most = 2 + (m_hi - m_lo - 1).bit_length()  # the bracket's ends, then a probe a halving
     with _counter(replace(config, m=m_hi), trials, workers, 1, most) as counts:
@@ -684,8 +686,7 @@ def moment_check_logistic(
     slope; beta = 0 degenerates to the exact value 1.
     """
     k, samples = _check_int("k", k, 1), _check_int("samples", samples, 2)
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+    beta = _check_real("beta", beta, 0, math.inf, "[)")
     stream = RngStream(master_seed)
     t = math.sqrt(k) * sample_gaussian(stream, samples)
     w = np.exp(-((beta * t) ** 2) / 4.0)

@@ -25,6 +25,7 @@ from scipy.special import expit
 from .numerics import (
     RngStream,
     _check_int,
+    _check_real,
     _uniforms,
     sample_gaussian,
     sample_indices,
@@ -101,9 +102,7 @@ class _GaussianNoise(_Channel):
     sigma2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
-            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
+        object.__setattr__(self, "sigma2", _check_real("sigma2", self.sigma2, 0, math.inf, "[)"))
 
     def output_scale(self, k: int) -> float:
         """The variance scale k + sigma2 of the top-k closed form."""
@@ -167,12 +166,7 @@ class Logistic(_Channel):
     beta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", float(self.beta))
-        if math.isnan(self.beta) or self.beta <= 0.0:
-            raise ValueError(
-                f"beta must be positive (beta=0 carries no signal), got {self.beta!r}; "
-                "use math.inf for the noiseless limit"
-            )
+        object.__setattr__(self, "beta", _check_real("beta", self.beta, 0, math.inf, "(]"))
 
     def _inverse_beta2(self) -> float:
         # 0 past beta = 2**27, where k + 2/beta^2 already rounds to k and

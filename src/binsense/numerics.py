@@ -69,6 +69,25 @@ def _check_int(name: str, value, low: int, high: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer in {span}, got {value!r}")
 
 
+def _check_real(name: str, value, low: float, high: float, ends: str) -> float:
+    """The library's one rule for a real argument: ``value`` as a Python float
+    if it is a Python or numpy real between low and high, each end closed or
+    open as ``ends`` says ("[)" is [low, high)), else ValueError.  An infinite
+    end passes only when closed; nan, a bool or a string never does."""
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        number = float(value)
+        if (low < number or number == low and ends[0] == "[") and (
+            number < high or number == high and ends[1] == "]"
+        ):
+            return number
+    if high < math.inf:
+        rule = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    else:
+        floor = f">= {low:g}" if ends[0] == "[" else "positive" if low == 0 else f"> {low:g}"
+        rule = f"be finite and {floor}" if ends[1] == ")" else f"be {floor}"
+    raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream keyed by (master_seed, stream_id).

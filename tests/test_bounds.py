@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binsense import bounds as bounds_module
 from binsense.bounds import (
     BoundQuery,
     NoiselessRegimeError,
@@ -340,6 +341,16 @@ class TestBoundCurve:
         assert rows[0].m1 == pytest.approx(1584.8678508314534, rel=1e-10)
         assert rows[0].m2 == pytest.approx(1582.1834467928417, rel=1e-10)
         assert rows[0].argmax_l == 956
+
+    def test_every_k_is_checked_before_any_scan(self, monkeypatch):
+        # an empty curve is refused, not returned as a bare CSV header, and a
+        # bad k anywhere in the list is refused before the first scan
+        scans = []
+        monkeypatch.setattr(bounds_module, "mle_sample_bound", lambda *args: scans.append(args))
+        for k_values in ([], range(100, 50), [1000, 2000, 30_000], [1000, 2.5]):
+            with pytest.raises(ValueError):
+                mle_bound_curve(50_000, 1.0, k_values)
+        assert scans == []
 
     def test_csv_format(self):
         text = curve_to_csv(mle_bound_curve(50_000, 1.0, [1000, 2000]))

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from binsense import harness
+from binsense import harness, model, numerics
 from binsense.bounds import BoundQuery, bound_report, curve_to_csv, mle_bound_curve
 from binsense.cli import main
 from binsense.harness import TrialConfig, sweep
@@ -285,6 +285,101 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _count_draws(monkeypatch) -> list:
+    """Record every stream a command reads a uniform of."""
+    draws = []
+    uniforms = numerics._uniforms
+
+    def counted(stream, count, start=0, out=None):
+        draws.append(stream)
+        return uniforms(stream, count, start, out)
+
+    monkeypatch.setattr(numerics, "_uniforms", counted)
+    monkeypatch.setattr(model, "_uniforms", counted)
+    return draws
+
+
+# a valid command of each subcommand, and every integer flag it takes
+INTEGER_FLAGS = {
+    "simulate --model linear --sigma2 1 --n 12 --k 2 --m 8 --decoder mle --trials 3":
+        ("--n", "--k", "--m", "--trials", "--seed", "--workers", "--mle-budget"),
+    "sweep --model onebit --sigma2 1 --n 32 --k 2 --m-grid 10:30:10 --trials 3":
+        ("--n", "--k", "--trials", "--seed", "--workers", "--mle-budget"),
+    "m95 --model logistic --beta 2 --n 32 --k 2 --m-lo 5 --m-hi 200 --trials-per-probe 4":
+        ("--n", "--k", "--m-lo", "--m-hi", "--trials-per-probe", "--seed", "--workers",
+         "--mle-budget"),
+    "bounds --model linear --sigma2 1 --n 100 --k 3": ("--n", "--k"),
+    "plot1 --n 5000 --k-min 100 --k-max 1000 --k-step 300": ("--n", "--k-min", "--k-max", "--k-step"),
+    "check-moments --model onebit --sigma2 1 --k 3 --samples 100": ("--k", "--samples", "--seed"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in INTEGER_FLAGS.items() for flag in flags],
+)
+def test_integer_flags_are_refused_by_the_library(capsys, monkeypatch, command, flag):
+    # argparse only parses an integer; the library's rule refuses 0 (a seed of
+    # -1) with its own one-line message, before any draw and with no output
+    assert main(command.split()) == 0
+    capsys.readouterr()
+    draws = _count_draws(monkeypatch)
+    bad = "-1" if flag == "--seed" else "0"
+    assert main(command.split() + [flag, bad]) == 2  # the last of a repeated flag wins
+    out, err = capsys.readouterr()
+    assert (out, draws) == ("", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("plot1 --n 5000 --k-min 1000 --k-max 500", "k_values must be nonempty"),
+        ("plot1 --n 5000 --k-min 100 --k-max 1000 --k-step 0", "--k-step must be a positive integer"),
+        ("sweep --model onebit --sigma2 1 --n 32 --k 2 --m-grid 30:10:10 --trials 3",
+         "m values must be a nonempty"),
+        ("sweep --model onebit --sigma2 1 --n 32 --k 2 --m-grid 10:30:0 --trials 3",
+         "--m-grid step must be a positive integer"),
+        ("sweep --model onebit --sigma2 1 --n 32 --k 2 --m-grid 0:30:10 --trials 3",
+         "m must be a positive integer, got 0"),
+    ],
+)
+def test_empty_ranges_are_refused(tmp_path, capsys, monkeypatch, command, message):
+    # an empty or stepless range exits 2 with nothing written, not a bare header
+    draws = _count_draws(monkeypatch)
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    argv = command.split()
+    extra = ["--svg", str(svg)] if argv[0] == "plot1" else []
+    for tail in ([], ["--out", str(out), *extra]):
+        assert main(argv + tail) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and message in err
+    assert draws == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "m95 --model onebit --sigma2 1 --n 64 --k 3 --m-lo 10 --m-hi 300 --trials-per-probe 40",
+        "plot1 --n 5000 --k-min 100 --k-max 1000 --k-step 300",
+        "check-moments --model onebit --sigma2 1 --k 3 --samples 100",
+    ],
+)
+def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # a path in a missing directory, or a directory, exits 2 before anything is
+    # drawn or written; plot1 checks its SVG path before writing its CSV
+    draws = _count_draws(monkeypatch)
+    missing = str(tmp_path / "missing" / "file")
+    cases = [["--out", missing], ["--out", str(tmp_path)]]
+    if command.startswith("plot1"):
+        cases += [["--out", str(tmp_path / "curve.csv"), "--svg", missing]]
+    for tail in cases:
+        assert main(command.split() + tail) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write ")
+    assert draws == [] and list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -492,6 +492,16 @@ class TestPrefixTrials:
             count_successes(config, 4, workers=2)
         assert rows == []
 
+    def test_single_trial_refused_before_any_draw(self, monkeypatch):
+        # run_trial checks the MLE budget and the memory a trial needs before
+        # drawing, as the counted calls do: no matrix, no numpy MemoryError
+        draws = _counting_draws(monkeypatch)
+        with pytest.raises(decode.BudgetExceededError):
+            run_trial(TrialConfig(Linear(1.0), 1024, 4, 50, decoder="mle"), 0)
+        with pytest.raises(ValueError, match="memory"):
+            run_trial(TrialConfig(OneBit(1.0), 64, 4, 10**12), 0)
+        assert draws == []
+
     @settings(max_examples=40, deadline=None)
     @given(
         data=st.data(),

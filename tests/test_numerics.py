@@ -8,6 +8,7 @@ the CDF) and frozen here.
 import ast
 import math
 import pickle
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -19,7 +20,22 @@ from scipy.special import ndtri
 
 import binsense
 from binsense import model, numerics
-from binsense.bounds import BoundQuery, bound_report, fano_correction, mle_bound_curve
+from binsense.bounds import (
+    BoundQuery,
+    all_or_nothing_threshold,
+    bound_report,
+    conjectured_alg_threshold,
+    fano_correction,
+    glm_fano_lower,
+    linear_fano_lower,
+    linear_shell_lower,
+    logistic_fano_lower,
+    mle_bound_curve,
+    mle_sample_bound,
+    onebit_fano_lower,
+    topk_sample_bound,
+    topk_sample_bound_closed,
+)
 from binsense.decode import (
     decimal_decode,
     decimal_row,
@@ -375,11 +391,8 @@ INTEGER_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("call, low, valid", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
-def test_one_rule_for_integer_arguments(monkeypatch, call, low, valid):
-    # a fraction, a bool and a value below the range are refused before any
-    # draw, where a fraction was truncated and a bool taken for 0 or 1; a
-    # numpy integer is taken as its Python int, down to the pickled bytes
+def _count_draws(monkeypatch) -> list:
+    """Record the stream of every draw of uniforms."""
     draws = []
 
     def counted(stream, count, start=0, out=None):
@@ -389,11 +402,89 @@ def test_one_rule_for_integer_arguments(monkeypatch, call, low, valid):
     uniforms = numerics._uniforms
     monkeypatch.setattr(numerics, "_uniforms", counted)
     monkeypatch.setattr(model, "_uniforms", counted)
+    return draws
+
+
+@pytest.mark.parametrize("call, low, valid", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
+def test_one_rule_for_integer_arguments(monkeypatch, call, low, valid):
+    # a fraction, a bool and a value below the range are refused before any
+    # draw, where a fraction was truncated and a bool taken for 0 or 1; a
+    # numpy integer is taken as its Python int, down to the pickled bytes
+    draws = _count_draws(monkeypatch)
     for bad in (2.5, True, low - 1):
         with pytest.raises(ValueError, match=f"got {bad!r}$"):
             call(bad)
     assert draws == []
     assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
+
+
+def _query(**kwargs) -> str:
+    return bound_report(BoundQuery(100, 5, OneBit(1.0), **kwargs)).to_json()
+
+
+# every real argument of the public API: (a call with the value in that slot,
+# a value outside its interval, a value inside it that a float32 holds exactly)
+REAL_ARGUMENTS = {
+    "Linear.sigma2": (Linear, -1.0, 0.5),
+    "OneBit.sigma2": (OneBit, math.inf, 0.5),
+    "Logistic.beta": (Logistic, 0.0, 2.0),
+    "fano_correction.delta": (lambda v: fano_correction(100, 3, v), 1.0, 0.25),
+    "all_or_nothing_threshold.sigma2": (lambda v: all_or_nothing_threshold(100, 3, v), -1.0, 0.5),
+    "conjectured_alg_threshold.sigma2": (lambda v: conjectured_alg_threshold(100, 3, v), math.inf, 0.5),
+    "topk_sample_bound.c": (lambda v: topk_sample_bound(100, 3, OneBit(1.0), v), 0.0, 2.0),
+    "topk_sample_bound_closed.c": (lambda v: topk_sample_bound_closed(100, 3, OneBit(1.0), v), math.inf, 2.0),
+    "glm_fano_lower.mutual_info_cap": (lambda v: glm_fano_lower(100, 3, v), 0.0, 0.5),
+    "glm_fano_lower.delta": (lambda v: glm_fano_lower(100, 3, 1.0, v), 1.0, 0.25),
+    "onebit_fano_lower.sigma2": (lambda v: onebit_fano_lower(100, 3, v), -1.0, 0.5),
+    "onebit_fano_lower.delta": (lambda v: onebit_fano_lower(100, 3, 1.0, v), -0.5, 0.25),
+    "logistic_fano_lower.beta": (lambda v: logistic_fano_lower(100, 3, v), -1.0, 2.0),
+    "linear_fano_lower.sigma2": (lambda v: linear_fano_lower(100, 3, v), math.inf, 0.5),
+    "linear_fano_lower.delta": (lambda v: linear_fano_lower(100, 3, 1.0, v), 1.0, 0.25),
+    "mle_sample_bound.sigma2": (lambda v: mle_sample_bound(100, 3, v), -1.0, 0.5),
+    "linear_shell_lower.sigma2": (lambda v: linear_shell_lower(100, 3, v), math.inf, 0.5),
+    "linear_shell_lower.delta": (lambda v: linear_shell_lower(100, 3, 1.0, v), 1.0, 0.25),
+    "mle_bound_curve.sigma2": (lambda v: mle_bound_curve(100, v, [1, 5]), -1.0, 0.5),
+    "BoundQuery.delta": (lambda v: _query(delta=v), 1.0, 0.25),
+    "BoundQuery.c": (lambda v: _query(c=v), 0.0, 2.0),
+    "BoundQuery.mutual_info_cap": (lambda v: _query(mutual_info_cap=v), math.inf, 0.5),
+    "estimate_m95.threshold": (lambda v: estimate_m95(_TOPK, 9, 10, 300, threshold=v), 0.0, 0.5),
+    "moment_check_onebit.sigma2": (lambda v: moment_check_onebit(3, v, 50), -1.0, 0.5),
+    "moment_check_logistic.beta": (lambda v: moment_check_logistic(3, v, 50), -1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("call, outside, valid", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS)
+def test_one_rule_for_real_arguments(monkeypatch, call, outside, valid):
+    # a bool, a string, nan and a value outside the interval are refused
+    # before any draw, where a bool was taken for 0 or 1 and a string parsed
+    # or compared; a numpy float is taken as its Python float, down to the
+    # pickled bytes, so no numpy scalar reaches a report
+    draws = _count_draws(monkeypatch)
+    for bad in (True, "1", math.nan, outside):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}") + "$"):
+            call(bad)
+    assert draws == []
+    assert pickle.dumps(call(np.float32(valid))) == pickle.dumps(call(valid))
+
+
+@pytest.mark.parametrize(
+    "low, high, ends, inside, outside, rule",
+    [
+        (0, math.inf, "[)", [0, 0.5, 1e308], [-1e-300, math.inf], "be finite and >= 0"),
+        (0, math.inf, "()", [5e-324, 1e308], [0.0, math.inf], "be finite and positive"),
+        (0, math.inf, "(]", [5e-324, math.inf], [0.0, -math.inf], "be positive"),
+        (0, 1, "[)", [0.0, 0.5], [1.0, -1e-300], "lie in [0, 1)"),
+        (0, 1, "(]", [1.0, 1e-300], [0.0, 1.0 + 2**-52], "lie in (0, 1]"),
+    ],
+)
+def test_real_rule_ends(low, high, ends, inside, outside, rule):
+    # each end admits its own value exactly when closed; nan never passes
+    for value in inside:
+        got = numerics._check_real("x", value, low, high, ends)
+        assert type(got) is float and got == value
+    for value in outside + [math.nan]:
+        with pytest.raises(ValueError, match=f"^x must {re.escape(rule)}, got "):
+            numerics._check_real("x", value, low, high, ends)
 
 
 def int_isinstance_lines(path) -> list:
